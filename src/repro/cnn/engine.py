@@ -24,9 +24,10 @@ from being a matmul - splits into
 * a **remainder reduction** ``sum_q (a_q w_q mod 2**B)``.  Because
   ``x*y mod 2**k`` is the natural wraparound of k-bit machine
   multiplication, the remainder term is a fused low-bits
-  multiply-accumulate: a native C kernel when available
-  (:mod:`repro.utils.native`), a chunked uint8/uint16 broadcast in pure
-  NumPy otherwise.  Both are bit-identical to the reference.
+  multiply-accumulate: one of two native C kernels, picked from the
+  operand shape, when available (:mod:`repro.utils.native`), a chunked
+  uint8/uint16 broadcast in pure NumPy otherwise.  All are bit-identical
+  to the reference.
 
 A :class:`SconnaLayerPlan` caches everything derivable from the weights
 (sign-split magnitudes, low bits, psum-group slices, dtype choices) so a
@@ -56,6 +57,9 @@ from repro.utils import native
 
 #: elements per chunk of the NumPy fallback's remainder broadcast
 _REM_CHUNK_ELEMS = 1 << 24
+#: smallest operand P (output pixels) that takes the pixel-vectorised
+#: ``cols`` remainder kernel; narrower operands take ``split``
+_COLS_MIN_P = 8
 
 
 def psum_group_size(config: SconnaConfig) -> int:
@@ -113,11 +117,6 @@ class SconnaLayerPlan:
     @property
     def lo_dtype(self) -> np.dtype:
         return self.w_lo.dtype
-
-    @property
-    def native_eligible(self) -> bool:
-        """The C kernel handles the uint8 (B <= 8) layout only."""
-        return self.w_lo.dtype == np.uint8
 
 
 def compile_layer_plan(
@@ -259,8 +258,6 @@ class SconnaEngine:
         error_model: SconnaErrorModel | None = None,
         *,
         out: "np.ndarray | None" = None,
-        matmul_kind: str = "blas",
-        remainder_kind: str = "auto",
         profile: "list | None" = None,
     ) -> np.ndarray:
         """Count-domain SC matmul with per-psum-group ADC error.
@@ -270,11 +267,10 @@ class SconnaEngine:
         :func:`sconna_matmul_reference`.
 
         ``out`` (optional) is a preallocated float64 ``(B, L, P)`` result
-        buffer; ``matmul_kind``/``remainder_kind`` select autotuned
-        kernel variants (see :meth:`_remainder`) - every variant computes
-        exact integer sums, so the choice can never change the result.
-        ``profile`` (optional) collects ``(name, start_s, end_s, tags)``
-        timing tuples for the BLAS and remainder terms; timing reads the
+        buffer.  ``profile`` (optional) collects ``(name, start_s, end_s,
+        tags)`` timing tuples per psum group: ``engine.matmul`` (BLAS
+        term), ``engine.remainder`` (tagged with the kernel that ran) and
+        ``engine.adc`` (the error model's noise draw).  Timing reads the
         clock around unchanged arithmetic, so results stay bit-identical
         with profiling on or off.
         """
@@ -282,44 +278,36 @@ class SconnaEngine:
         if q != plan.n_in:
             raise ValueError(f"cols Q={q} does not match plan Q={plan.n_in}")
         l = plan.n_out
-        shift, mask = plan.shift, plan.mask
         apply_error = error_model is not None and not error_model.ideal()
 
-        remainder_kind = self._resolve_remainder_kind(plan, remainder_kind)
-        af, a_lo = self._load_activations(plan, cols, remainder_kind)
+        kernel = self._remainder_kernel(plan, p)
+        af, a_lo = self._load_activations(plan, cols, kernel)
         rem = self.pool.get("rem", (b, 2 * l, p), np.int32)
         s_buf = self.pool.get("s", (b, 2 * l, p), np.float64)
         if out is None:
             out = np.zeros((b, l, p), dtype=np.float64)
         else:
             out.fill(0.0)
-        inv_scale = 1.0 / (1 << shift)
+        inv_scale = 1.0 / (1 << plan.shift)
         for sl in plan.group_slices:
             # BLAS term: exact integer sums in float64.
             t0 = time.monotonic() if profile is not None else 0.0
-            if matmul_kind == "einsum":
-                s = np.einsum(
-                    "lq,bqp->blp", plan.w_stacked[:, sl], af[:, sl, :],
-                    out=s_buf,
-                )
-            else:
-                s = np.matmul(
-                    plan.w_stacked[None, :, sl], af[:, sl, :], out=s_buf
-                )
+            s = np.matmul(plan.w_stacked[None, :, sl], af[:, sl, :], out=s_buf)
             if profile is not None:
                 t1 = time.monotonic()
-                profile.append(("engine.matmul", t0, t1,
-                                {"kind": matmul_kind}))
+                profile.append(("engine.matmul", t0, t1, {}))
                 t0 = t1
-            # remainder term: fused native kernel or chunked broadcast.
-            self._remainder(plan, a_lo, sl, rem, remainder_kind)
+            ran = self._remainder(plan, a_lo, sl, rem, kernel)
             if profile is not None:
                 profile.append(("engine.remainder", t0, time.monotonic(),
-                                {"kind": remainder_kind}))
+                                {"kernel": ran}))
             np.subtract(s, rem, out=s)
             s *= inv_scale  # exact: s - rem is a multiple of 2**B
             if apply_error:
+                t0 = time.monotonic() if profile is not None else 0.0
                 s = error_model.apply_to_counts(s).astype(np.float64)
+                if profile is not None:
+                    profile.append(("engine.adc", t0, time.monotonic(), {}))
             out += s[:, :l, :]
             out -= s[:, l:, :]
         return out
@@ -330,8 +318,6 @@ class SconnaEngine:
         cols: np.ndarray,
         *,
         out: "np.ndarray | None" = None,
-        matmul_kind: str = "blas",
-        remainder_kind: str = "auto",
         profile: "list | None" = None,
     ) -> np.ndarray:
         """Ideal-datapath SC matmul: half the BLAS and remainder work.
@@ -353,8 +339,8 @@ class SconnaEngine:
             raise ValueError(f"cols Q={q} does not match plan Q={plan.n_in}")
         l = plan.n_out
 
-        remainder_kind = self._resolve_remainder_kind(plan, remainder_kind)
-        af, a_lo = self._load_activations(plan, cols, remainder_kind)
+        kernel = self._remainder_kernel(plan, p)
+        af, a_lo = self._load_activations(plan, cols, kernel)
         rem = self.pool.get("rem", (b, 2 * l, p), np.int32)
         s_buf = self.pool.get("s_signed", (b, l, p), np.float64)
         if out is None:
@@ -365,23 +351,15 @@ class SconnaEngine:
         inv_scale = 1.0 / (1 << plan.shift)
         for sl in plan.group_slices:
             t0 = time.monotonic() if profile is not None else 0.0
-            if matmul_kind == "einsum":
-                s = np.einsum(
-                    "lq,bqp->blp", plan.w_float[:, sl], af[:, sl, :], out=s_buf
-                )
-            else:
-                s = np.matmul(
-                    plan.w_float[None, :, sl], af[:, sl, :], out=s_buf
-                )
+            s = np.matmul(plan.w_float[None, :, sl], af[:, sl, :], out=s_buf)
             if profile is not None:
                 t1 = time.monotonic()
-                profile.append(("engine.matmul", t0, t1,
-                                {"kind": matmul_kind}))
+                profile.append(("engine.matmul", t0, t1, {}))
                 t0 = t1
-            self._remainder(plan, a_lo, sl, rem, remainder_kind)
+            ran = self._remainder(plan, a_lo, sl, rem, kernel)
             if profile is not None:
                 profile.append(("engine.remainder", t0, time.monotonic(),
-                                {"kind": remainder_kind}))
+                                {"kernel": ran}))
             np.subtract(s, rem[:, :l, :], out=s)
             s += rem[:, l:, :]
             if single:
@@ -391,16 +369,16 @@ class SconnaEngine:
                 out += s
         return out
 
-    def _resolve_remainder_kind(self, plan: SconnaLayerPlan, kind: str) -> str:
-        """Downgrade a variant request the current plan/build can't run.
+    def _remainder_kernel(self, plan: SconnaLayerPlan, p: int) -> str:
+        """The remainder kernel for this plan and an operand with ``p``
+        output pixels.
 
-        ``cols`` and ``split`` need the sign-split plan arrays plus the
-        native library; a pre-tuned choice persisted on one machine must
-        degrade gracefully (to ``auto``: stacked native else numpy) when
-        loaded on another.
+        With the native library loaded and the plan's uint8 sign-split
+        arrays present (B <= 8): ``cols`` (vectorised over pixels) when
+        ``p >= 8``, else ``split`` (vectorised over the contraction).
+        Otherwise the NumPy fallback.  Every kernel computes the same
+        exact integer sums, so the choice only moves wall time.
         """
-        if kind not in ("cols", "split"):
-            return kind
         ready = self._native_ready
         if ready is None:
             # memoized: the library load outcome is stable for the
@@ -408,22 +386,17 @@ class SconnaEngine:
             # later REPRO_NATIVE=0 still takes effect for correctness -
             # the kernel wrappers re-check and fall back to NumPy.
             ready = self._native_ready = native.native_available()
-        if not (
-            self.use_native
-            and plan.native_eligible
-            and plan.w_pos_mask is not None
-            and ready
-        ):
-            return "auto"
-        return kind
+        if self.use_native and ready and plan.w_pos_mask is not None:
+            return "cols" if p >= _COLS_MIN_P else "split"
+        return "numpy"
 
     def _load_activations(
-        self, plan: SconnaLayerPlan, cols: np.ndarray, kind: str = "auto"
+        self, plan: SconnaLayerPlan, cols: np.ndarray, kernel: str
     ) -> "tuple[np.ndarray, np.ndarray]":
         """Per-call activation views from the pool: exact float64 for the
-        BLAS term, low bits for the remainder term.  Row-contraction
-        variants want the low bits transposed to ``(B, P, Q)``; the
-        ``cols`` variant consumes the native ``(B, Q, P)`` layout and so
+        BLAS term, low bits for the remainder term.  The ``split`` and
+        NumPy kernels want the low bits transposed to ``(B, P, Q)``; the
+        ``cols`` kernel consumes the native ``(B, Q, P)`` layout and so
         skips the transposed copy."""
         b, q, p = cols.shape
         if cols.dtype == np.float64 and cols.flags.c_contiguous:
@@ -435,7 +408,7 @@ class SconnaEngine:
             af = self.pool.get("af", (b, q, p), np.float64)
             np.copyto(af, cols)
         lo_dtype = plan.lo_dtype
-        if kind == "cols":
+        if kernel == "cols":
             a_lo = self.pool.get("a_lo_cols", (b, q, p), lo_dtype)
             np.copyto(a_lo, cols, casting="unsafe")
         else:
@@ -451,39 +424,28 @@ class SconnaEngine:
         a_lo: np.ndarray,
         sl: slice,
         rem: np.ndarray,
-        kind: str,
-    ) -> None:
-        """Fill ``rem`` for the group ``sl`` with the requested kernel
-        variant: ``cols`` (column-layout C kernel, vectorised over
-        pixels), ``split`` (one-pass sign-split C kernel), ``native``
-        (stacked C kernel), ``numpy`` (chunked broadcast).  ``auto``
-        preserves the per-layer reference behaviour (stacked native else
-        numpy).  All variants produce identical int32 sums; kind must
-        already be resolved via :meth:`_resolve_remainder_kind` so the
-        activation layout matches.
-        """
-        mask = plan.mask
-        if self.use_native and plan.native_eligible and kind != "numpy":
-            if kind == "cols":
-                if native.remainder_group_sums_cols(
-                    a_lo, plan.w_mag_lo, plan.w_pos_mask,
-                    sl.start, sl.stop, mask, rem,
-                ):
-                    return
-            elif kind == "split":
-                if native.remainder_group_sums_split(
-                    a_lo, plan.w_mag_lo, plan.w_pos_mask,
-                    sl.start, sl.stop, mask, rem,
-                ):
-                    return
-            if kind != "cols" and native.remainder_group_sums(
-                a_lo, plan.w_lo, sl.start, sl.stop, mask, rem
+        kernel: str,
+    ) -> str:
+        """Fill ``rem`` for the group ``sl`` with ``kernel`` (chosen by
+        :meth:`_remainder_kernel`, which also fixed ``a_lo``'s layout)
+        and return the kernel that ran: ``numpy`` when the native
+        library was disabled after the choice was made."""
+        if kernel != "numpy":
+            run_native = (
+                native.remainder_group_sums_cols
+                if kernel == "cols"
+                else native.remainder_group_sums_split
+            )
+            if run_native(
+                a_lo, plan.w_mag_lo, plan.w_pos_mask,
+                sl.start, sl.stop, plan.mask, rem,
             ):
-                return
-        # the NumPy fallback wants the (B, P, Q) row layout; give it a
-        # transposed view when the activations were loaded cols-style
-        a_rows = a_lo.transpose(0, 2, 1) if kind == "cols" else a_lo
-        _remainder_fallback(a_rows, plan.w_lo, sl, mask, rem)
+                return kernel
+            if kernel == "cols":
+                # the fallback wants the (B, P, Q) row layout
+                a_lo = a_lo.transpose(0, 2, 1)
+        _remainder_fallback(a_lo, plan.w_lo, sl, plan.mask, rem)
+        return "numpy"
 
 
 def _remainder_fallback(

@@ -75,10 +75,6 @@ class QuantizedModel:
         self.config = config or SconnaConfig(precision_bits=precision_bits)
         self._engine = SconnaEngine()
         self._plan_lock = threading.Lock()
-        #: persisted per-stage kernel-variant choices (see
-        #: :mod:`repro.cnn.graph_plan`); saved in the NPZ meta and the
-        #: registry manifest so a served model loads pre-tuned
-        self.autotune: "dict[str, dict]" = {}
         self._network_plan: "object | None" = None
         for item in structure:
             if isinstance(item, QuantLayer):
@@ -94,16 +90,14 @@ class QuantizedModel:
         state = self.__dict__.copy()
         del state["_plan_lock"]
         # the network plan holds locks and cached shape programs; it is
-        # rebuilt (and re-reads the persisted autotune choices) on first
-        # fused forward in the new process
+        # rebuilt on first fused forward in the new process
         state["_network_plan"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._plan_lock = threading.Lock()
-        # models pickled by older revisions predate these fields
-        self.__dict__.setdefault("autotune", {})
+        # models pickled by older revisions predate this field
         self.__dict__.setdefault("_network_plan", None)
 
     @property

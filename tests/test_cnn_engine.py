@@ -41,15 +41,19 @@ class TestBitExactEquivalence:
     @given(
         b=st.sampled_from([4, 8, 12]),  # 12 exercises the uint16 low-bits path
         seed=st.integers(min_value=0, max_value=2**31),
-        group=st.integers(min_value=1, max_value=64),
+        # groups past 255 reach split's uint16 partial-sum blocks
+        group=st.one_of(st.integers(min_value=1, max_value=64),
+                        st.integers(min_value=250, max_value=600)),
     )
     @settings(max_examples=40, deadline=None)
     def test_matches_reference_any_group(self, engines, b, seed, group):
-        """Odd groups, q not divisible by group, zero/negative weights."""
+        """Odd groups, q not divisible by group, zero/negative weights,
+        P on both sides of the cols/split cutoff, matmul and
+        matmul_ideal."""
         rng = np.random.default_rng(seed)
         batch = int(rng.integers(1, 4))
         l = int(rng.integers(1, 9))
-        q = int(rng.integers(1, 97))
+        q = int(rng.integers(1, 97 if group <= 64 else 700))
         p = int(rng.integers(1, 20))
         length = 1 << b
         cols = rng.integers(0, length + 1, size=(batch, q, p)).astype(np.int64)
@@ -59,6 +63,7 @@ class TestBitExactEquivalence:
         plan = compile_layer_plan(w, b, group)
         for eng in engines:
             assert np.array_equal(ref, eng.matmul(plan, cols))
+            assert np.array_equal(ref, eng.matmul_ideal(plan, cols))
 
     def test_extreme_operands(self, engines):
         """Saturated activations/weights (value 2**B) hit the wraparound."""
@@ -326,100 +331,179 @@ class TestIm2colBufferReuse:
 
 class TestNativeKernel:
     def test_fallback_matches_native_when_available(self):
+        """Both C kernels equal the NumPy fallback and int64 ground truth
+        on a group slice spanning two of ``split``'s 255-product uint16
+        partial-sum blocks plus a ragged tail."""
         if not native.native_available():
             pytest.skip("no native kernel in this environment")
+        from repro.cnn.engine import _remainder_fallback
+
         rng = np.random.default_rng(10)
-        a_lo = np.ascontiguousarray(
-            rng.integers(0, 256, size=(2, 5, 40)).astype(np.uint8)
-        )
-        w_lo = np.ascontiguousarray(
-            rng.integers(0, 256, size=(6, 40)).astype(np.uint8)
-        )
-        out = np.empty((2, 6, 5), dtype=np.int32)
-        assert native.remainder_group_sums(a_lo, w_lo, 8, 31, 0xFF, out)
-        expect = (
-            (a_lo[:, None, :, 8:31].astype(np.int64)
-             * w_lo[None, :, None, 8:31]) % 256
-        ).sum(axis=-1)
-        assert np.array_equal(out.astype(np.int64), expect)
+        b, p, q, l = 2, 5, 600, 4
+        sl = slice(8, 580)
+        for mask in (0xFF, 0x0F):  # B = 8 wraps, B = 4 masks
+            a = rng.integers(0, 256, size=(b, q, p)).astype(np.uint8) & mask
+            w = rng.integers(-255, 256, size=(l, q))
+            w_mag = np.abs(w).astype(np.uint8) & mask
+            w_pos = np.where(w > 0, 0xFF, 0).astype(np.uint8)
+            a_rows = np.ascontiguousarray(a.transpose(0, 2, 1))
+            prods = (
+                a_rows[:, None, :, sl].astype(np.int64)
+                * w_mag[None, :, None, sl]
+            ) & mask
+            pos = (w > 0)[None, :, None, sl]
+            expect = np.concatenate(
+                [(prods * pos).sum(axis=-1), (prods * ~pos).sum(axis=-1)],
+                axis=1,
+            )
+            w_lo = np.concatenate(
+                [np.where(w > 0, w_mag, 0), np.where(w < 0, w_mag, 0)]
+            ).astype(np.uint8)
+            fallback = np.empty((b, 2 * l, p), dtype=np.int32)
+            _remainder_fallback(a_rows, w_lo, sl, mask, fallback)
+            assert np.array_equal(fallback.astype(np.int64), expect)
+            for kernel, operand in (
+                (native.remainder_group_sums_split, a_rows),
+                (native.remainder_group_sums_cols, np.ascontiguousarray(a)),
+            ):
+                out = np.empty((b, 2 * l, p), dtype=np.int32)
+                assert kernel(
+                    operand, w_mag, w_pos, sl.start, sl.stop, mask, out
+                )
+                assert np.array_equal(out, fallback)
 
     def test_env_kill_switch(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE", "0")
         assert native.get_kernel() is None
 
 
+#: (use_native, P) that make the engine pick each remainder kernel; the
+#: two native cases sit on either side of the P cutoff
+_KERNEL_CASES = {"cols": (True, 8), "split": (True, 7), "numpy": (False, 8)}
+#: case ids name both halves of the product: the remainder kernel and
+#: the BLAS matmul that always computes the quotient part
+_KERNEL_IDS = [pytest.param(k, id=f"{k}-blas") for k in _KERNEL_CASES]
+
+
+def _engine_for(kernel):
+    use_native, p = _KERNEL_CASES[kernel]
+    if use_native and not native.native_available():
+        pytest.skip("no native kernel in this environment")
+    return SconnaEngine(use_native=use_native), p
+
+
+def _operand(seed, q, p, b=8, l=5, batch=2):
+    rng = np.random.default_rng(seed)
+    length = 1 << b
+    cols = rng.integers(0, length + 1, size=(batch, q, p)).astype(np.int64)
+    w = rng.integers(-length, length + 1, size=(l, q)).astype(np.int64)
+    w[rng.random(w.shape) < 0.2] = 0
+    return cols, w
+
+
+def _seeded_oracle(cols, w, b, group, seed):
+    """The engine's noise contract on top of the seed reference: one
+    stacked ``(B, 2L, P)`` draw per psum group, positive rows first."""
+    em = SconnaErrorModel(seed=seed)
+    l, q = w.shape
+    out = np.zeros((cols.shape[0], l, cols.shape[2]))
+    for start in range(0, q, group):
+        sl = slice(start, min(start + group, q))
+        ws = w[:, sl]
+        pos = sconna_matmul_reference(cols[:, sl], np.maximum(ws, 0), b, group)
+        neg = -sconna_matmul_reference(cols[:, sl], np.minimum(ws, 0), b, group)
+        noisy = em.apply_to_counts(np.concatenate([pos, neg], axis=1))
+        noisy = noisy.astype(np.float64)
+        out += noisy[:, :l]
+        out -= noisy[:, l:]
+    return out
+
+
 class TestKernelVariants:
-    """Every autotunable variant computes the same exact integer sums."""
+    """Every remainder kernel the engine can pick computes the seed
+    reference's exact sums, through every engine entry point."""
 
-    def _case(self, seed, b=8):
-        rng = np.random.default_rng(seed)
-        batch, l, q, p = 2, 5, 43, 12
-        length = 1 << b
-        cols = rng.integers(0, length + 1, size=(batch, q, p)).astype(np.int64)
-        w = rng.integers(-length, length + 1, size=(l, q)).astype(np.int64)
-        w[rng.random(w.shape) < 0.2] = 0
-        return cols, w, b
+    @staticmethod
+    def _cases(p):
+        """Groups and Q past ``split``'s 255-product partial-sum blocks
+        at B = 4 and 8, plus saturated low bits."""
+        cases = [(b, q, group, _operand(q + b, q, p, b))
+                 for b in (4, 8) for q, group in ((43, 16), (700, 600))]
+        # a*w == 255 (mod 256) for every product, all-positive and
+        # all-negative rows: the largest partial sums either side can hold
+        w_sat = np.ones((3, 700), dtype=np.int64)
+        w_sat[1] = -1
+        w_sat[2, ::2] = -1
+        cases.append((8, 700, 600, (
+            np.full((2, 700, p), 255, dtype=np.int64), w_sat,
+        )))
+        return cases
 
-    @pytest.mark.parametrize("mk", ["blas", "einsum"])
-    @pytest.mark.parametrize(
-        "rk", ["cols", "split", "native", "auto", "numpy"]
-    )
-    def test_matmul_variants_match_reference(self, engines, mk, rk):
-        cols, w, b = self._case(21)
-        ref = sconna_matmul_reference(cols, w, b, group=16)
-        plan = compile_layer_plan(w, b, 16)
-        for eng in engines:
-            got = eng.matmul(plan, cols, matmul_kind=mk, remainder_kind=rk)
+    @pytest.mark.parametrize("kernel", _KERNEL_IDS)
+    def test_matmul_variants_match_reference(self, kernel):
+        """``matmul`` (returned, ``out=`` and seeded noise) equals the
+        reference, and the profile names the kernel that ran."""
+        eng, p = _engine_for(kernel)
+        for b, q, group, (cols, w) in self._cases(p):
+            ref = sconna_matmul_reference(cols, w, b, group)
+            plan = compile_layer_plan(w, b, group)
+            prof = []
+            got = eng.matmul(plan, cols, profile=prof)
             assert np.array_equal(ref, got)
+            assert {tags["kernel"] for name, _, _, tags in prof
+                    if name == "engine.remainder"} == {kernel}
             out = np.empty_like(got)
-            eng.matmul(plan, cols, out=out, matmul_kind=mk, remainder_kind=rk)
+            eng.matmul(plan, cols, out=out)
             assert np.array_equal(ref, out)
-
-    @pytest.mark.parametrize("mk", ["blas", "einsum"])
-    @pytest.mark.parametrize(
-        "rk", ["cols", "split", "native", "auto", "numpy"]
-    )
-    def test_matmul_ideal_matches_noisy_path_ideal(self, engines, mk, rk):
-        """The collapsed signed-BLAS ideal path is bit-exact against the
-        stacked reference for every variant pair."""
-        cols, w, b = self._case(22)
-        ref = sconna_matmul_reference(cols, w, b, group=8)
-        plan = compile_layer_plan(w, b, 8)
-        for eng in engines:
-            got = eng.matmul_ideal(
-                plan, cols, matmul_kind=mk, remainder_kind=rk
+            assert np.array_equal(
+                _seeded_oracle(cols, w, b, group, seed=5),
+                eng.matmul(plan, cols, SconnaErrorModel(seed=5)),
             )
-            assert np.array_equal(ref, got)
+
+    @pytest.mark.parametrize("kernel", _KERNEL_IDS)
+    def test_matmul_ideal_matches_noisy_path_ideal(self, kernel):
+        """The collapsed signed-BLAS ideal path equals the stacked
+        reference for every kernel."""
+        eng, p = _engine_for(kernel)
+        for b, q, group, (cols, w) in self._cases(p):
+            ref = sconna_matmul_reference(cols, w, b, group)
+            plan = compile_layer_plan(w, b, group)
+            assert np.array_equal(ref, eng.matmul_ideal(plan, cols))
+
+    def test_kernel_rule_follows_operand_shape(self, engines):
+        """``cols`` from P = 8 up, ``split`` below; NumPy without the
+        native library or without uint8 sign-split arrays (B > 8)."""
+        eng, no_native = engines
+        w = np.ones((2, 4), dtype=np.int64)
+        plan8, plan12 = compile_layer_plan(w, 8, 4), compile_layer_plan(w, 12, 4)
+        assert no_native._remainder_kernel(plan8, 8) == "numpy"
+        assert eng._remainder_kernel(plan12, 8) == "numpy"
+        if native.native_available():
+            assert eng._remainder_kernel(plan8, 8) == "cols"
+            assert eng._remainder_kernel(plan8, 7) == "split"
 
     def test_float64_cols_operand_matches_int64(self, engines):
         """The fused path hands the engine C-contiguous float64 columns
         (used directly as the BLAS operand); results must be identical
         to the int64-cols reference call."""
-        cols, w, b = self._case(23)
-        plan = compile_layer_plan(w, b, 16)
-        cols_f = np.ascontiguousarray(cols.astype(np.float64))
-        for eng in engines:
-            ref = eng.matmul(plan, cols)
-            for rk in ("cols", "split", "auto", "numpy"):
-                assert np.array_equal(
-                    ref, eng.matmul(plan, cols_f, remainder_kind=rk)
-                )
-                assert np.array_equal(
-                    ref, eng.matmul_ideal(plan, cols_f, remainder_kind=rk)
-                )
+        for p in (7, 8):
+            cols, w = _operand(23, 43, p)
+            plan = compile_layer_plan(w, 8, 16)
+            cols_f = np.ascontiguousarray(cols.astype(np.float64))
+            for eng in engines:
+                ref = eng.matmul(plan, cols)
+                assert np.array_equal(ref, eng.matmul(plan, cols_f))
+                assert np.array_equal(ref, eng.matmul_ideal(plan, cols_f))
 
     def test_seeded_noise_identical_across_variants(self, engines):
-        cols, w, b = self._case(24)
-        plan = compile_layer_plan(w, b, 16)
-        eng = engines[0]
-        base = eng.matmul(plan, cols, SconnaErrorModel(seed=5))
-        for mk in ("blas", "einsum"):
-            for rk in ("cols", "split", "native", "auto", "numpy"):
-                got = eng.matmul(
-                    plan, cols, SconnaErrorModel(seed=5),
-                    matmul_kind=mk, remainder_kind=rk,
-                )
-                assert np.array_equal(base, got)
+        """Native and NumPy kernels feed the ADC draw identical counts,
+        on both sides of the P cutoff."""
+        for p in (7, 8):
+            cols, w = _operand(24, 43, p)
+            plan = compile_layer_plan(w, 8, 16)
+            got = [eng.matmul(plan, cols, SconnaErrorModel(seed=5))
+                   for eng in engines]
+            assert np.array_equal(got[0], got[1])
 
 
 class TestRemainderFallbackBoundary:

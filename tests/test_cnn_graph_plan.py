@@ -1,18 +1,16 @@
 """Whole-network fused execution plans (graph_plan.py).
 
 The load-bearing contract: fused execution is bit-identical to the
-per-layer reference path for every zoo proxy, every supported mode,
-every batch size, and every kernel-variant choice the autotuner can
-make - the fused path may only ever change wall time.  Also locked
-here: the integer-native seams (an int8/uint8 batch never materialises
-float64 between entry and logits), arena-slot reuse, and the autotune
-record/reuse/invalidate lifecycle.
+per-layer reference path for every zoo proxy, every supported mode and
+every batch size - the fused path may only ever change wall time.  Also
+locked here: the integer-native seams (an int8/uint8 batch never
+materialises float64 between entry and logits), arena-slot reuse, and
+the engine stages a fused profile reports.
 """
 
 import numpy as np
 import pytest
 
-from repro.cnn.graph_plan import AUTOTUNE_ENV, NetworkPlan, autotune_enabled
 from repro.cnn.inference import QuantizedModel
 from repro.cnn.train import PROXY_MODELS, build_proxy
 from repro.cnn.datasets import IMAGE_SHAPE
@@ -151,67 +149,24 @@ class TestBufferLifetimes:
         assert p3 is not p1
 
 
-class TestAutotune:
-    def _fresh_model(self, calib):
-        return QuantizedModel.from_trained(build_proxy("snet_proxy"), calib)
-
-    def test_choices_recorded_with_shapes(self, calib, monkeypatch):
-        monkeypatch.setenv(AUTOTUNE_ENV, "1")
-        assert autotune_enabled()
-        qm = self._fresh_model(calib)
-        qm.forward(_batch(2, seed=9), mode="sconna",
-                   error_model=SconnaErrorModel(adc_mape=0.0), fused=True)
-        assert qm.autotune, "expected autotune choices to be recorded"
-        for key, choice in qm.autotune.items():
-            assert key.endswith(":sconna")
-            assert choice["matmul"] in ("blas", "einsum")
-            assert choice["remainder"] in (
-                "cols", "split", "native", "auto", "numpy"
-            )
-            assert choice["q"] > 0 and choice["p"] > 0
-
-    def test_stored_choice_reused_not_retimed(self, calib, monkeypatch):
-        monkeypatch.setenv(AUTOTUNE_ENV, "1")
-        qm = self._fresh_model(calib)
-        x = _batch(2, seed=10)
-        em = lambda: SconnaErrorModel(adc_mape=0.0)
-        qm.forward(x, mode="sconna", error_model=em(), fused=True)
-        # pin a stored (valid-shape) choice; a fresh plan at the same
-        # shape must adopt it verbatim instead of re-timing
-        key = next(iter(qm.autotune))
-        pinned = dict(qm.autotune[key], matmul="einsum")
-        qm.autotune[key] = pinned
-        plan = NetworkPlan(qm)
-        prog = plan.program_for("sconna", x.shape)
-        idx = int(key.split(":")[0])
-        stage = next(
-            s for s in prog.stages
-            if prog._stage_key(s) == idx
-        )
-        assert stage.matmul_kind == "einsum"
-        ref = qm.forward(x, mode="sconna", error_model=em(), fused=False)
-        assert np.array_equal(ref, prog.run(x, em()))
-
-    def test_stale_shape_invalidated(self, calib, monkeypatch):
-        monkeypatch.setenv(AUTOTUNE_ENV, "1")
-        qm = self._fresh_model(calib)
-        x = _batch(2, seed=11)
-        qm.forward(x, mode="sconna",
-                   error_model=SconnaErrorModel(adc_mape=0.0), fused=True)
-        key = next(iter(qm.autotune))
-        qm.autotune[key] = dict(qm.autotune[key], q=999999)
-        NetworkPlan(qm).program_for("sconna", x.shape)
-        assert qm.autotune[key]["q"] != 999999, (
-            "stale-shape choice must be re-tuned, not reused"
-        )
-
-    def test_autotune_off_pins_defaults(self, calib, monkeypatch):
-        monkeypatch.setenv(AUTOTUNE_ENV, "0")
-        assert not autotune_enabled()
-        qm = self._fresh_model(calib)
-        x = _batch(2, seed=12)
-        em = SconnaErrorModel(adc_mape=0.0)
-        ref = qm.forward(x, mode="sconna", error_model=em, fused=False)
-        fus = qm.forward(x, mode="sconna", error_model=em, fused=True)
-        assert np.array_equal(ref, fus)
-        assert qm.autotune == {}, "pinned defaults must not be persisted"
+class TestEngineProfile:
+    def test_adc_stage_profiled_only_under_noise(self, models):
+        """Seeded profiles time the ADC draw as ``engine.adc``, ideal ones
+        have no such stage, ``engine.remainder`` names the kernel that
+        ran, and profiling never changes the logits."""
+        qm = models["snet_proxy"]
+        x = _batch(2, seed=13)
+        for make_em, noisy in (
+            (lambda: SconnaErrorModel(seed=3), True),
+            (lambda: SconnaErrorModel(adc_mape=0.0), False),
+        ):
+            prof = []
+            on = qm.forward(x, mode="sconna", error_model=make_em(),
+                            profile=prof)
+            off = qm.forward(x, mode="sconna", error_model=make_em())
+            assert np.array_equal(on, off)
+            names = {name for name, *_ in prof}
+            assert ("engine.adc" in names) == noisy
+            kernels = {tags["kernel"] for name, _, _, tags in prof
+                       if name == "engine.remainder"}
+            assert kernels and kernels <= {"cols", "split", "numpy"}

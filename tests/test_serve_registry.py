@@ -1,5 +1,7 @@
 """Model-registry round trips and manifest handling."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -79,59 +81,50 @@ class TestRegistry:
         assert len(reg) == 1
 
 
-class TestAutotuneManifest:
-    """The registry manifest mirrors the model's autotuned kernel
-    choices so operators can inspect them, and a loaded model serves
-    pre-tuned (no timing pass at load time)."""
+class TestLegacyKernelChoiceEntry:
+    """Older versions persisted per-stage kernel choices under an
+    ``autotune`` key in both the archive meta and the manifest.  Such a
+    model still loads, the key is ignored, and it serves the same
+    logits as a model saved without it."""
 
-    def _tuned_model(self, monkeypatch):
-        from repro.cnn.graph_plan import AUTOTUNE_ENV
+    CHOICES = {"0:sconna": {"q": 27, "p": 576, "matmul": "einsum",
+                            "remainder": "native"}}
+
+    def test_archive_and_manifest_entries_ignored(self, tiny_qmodel, tmp_path):
         from repro.stochastic.error_models import SconnaErrorModel
 
-        monkeypatch.setenv(AUTOTUNE_ENV, "1")
-        rng = make_rng(3)
-        model = Sequential(
-            Conv2d(3, 5, 3, padding=1, rng=rng), ReLU(), MaxPool2d(4),
-            Flatten(), Linear(5 * 6 * 6, N_CLASSES, rng=rng),
+        qm, ds = tiny_qmodel
+        reg = ModelRegistry(tmp_path)
+        reg.save("plain", qm)
+        reg.save("legacy", qm)
+        manifest_path = tmp_path / "legacy.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["autotune"] = self.CHOICES
+        manifest_path.write_text(json.dumps(manifest))
+        archive_path = tmp_path / "legacy.npz"
+        with np.load(archive_path) as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        meta = json.loads(str(arrays.pop("__meta__")))
+        meta["autotune"] = self.CHOICES
+        np.savez_compressed(
+            archive_path, __meta__=np.array(json.dumps(meta)), **arrays
         )
-        ds = generate_dataset(4, seed=2)
-        qm = QuantizedModel.from_trained(model, ds.images[:16])
-        qm.forward(ds.images[:2], mode="sconna",
-                   error_model=SconnaErrorModel(adc_mape=0.0), fused=True)
-        assert qm.autotune
-        return qm, ds
 
-    def test_manifest_carries_choices(self, tmp_path, monkeypatch):
-        import json
-
-        qm, _ = self._tuned_model(monkeypatch)
-        reg = ModelRegistry(tmp_path)
-        reg.save("tuned", qm, arch_model="MobileNet_V2")
-        entry = reg.entry("tuned")
-        assert entry.autotune == qm.autotune
-        # and it is plain JSON in the manifest, not pickled state
-        manifest = json.loads((tmp_path / "tuned.json").read_text())
-        assert manifest["autotune"] == qm.autotune
-
-    def test_loaded_model_is_pretuned(self, tmp_path, monkeypatch):
-        from repro.stochastic.error_models import SconnaErrorModel
-
-        qm, ds = self._tuned_model(monkeypatch)
-        reg = ModelRegistry(tmp_path)
-        reg.save("tuned", qm)
-        loaded = reg.load("tuned")
-        assert loaded.autotune == qm.autotune
-        em = SconnaErrorModel(adc_mape=0.0)
+        assert reg.entry("legacy").path == archive_path
+        plain, legacy = reg.load("plain"), reg.load("legacy")
         x = ds.images[:3]
-        assert np.array_equal(
-            loaded.forward(x, mode="sconna", error_model=em, fused=True),
-            qm.forward(x, mode="sconna", error_model=em, fused=False),
+        assert np.array_equal(plain.forward(x, mode="int8"),
+                              legacy.forward(x, mode="int8"))
+        for fused in (None, False):
+            plain_s, legacy_s = (
+                m.forward(x, mode="sconna",
+                          error_model=SconnaErrorModel(seed=9), fused=fused)
+                for m in (plain, legacy)
+            )
+            assert np.array_equal(plain_s, legacy_s)
+        # and current versions write the key nowhere
+        assert "autotune" not in json.loads(
+            (tmp_path / "plain.json").read_text()
         )
-
-    def test_untuned_model_has_empty_autotune(self, tiny_qmodel, tmp_path):
-        qm, _ = tiny_qmodel
-        reg = ModelRegistry(tmp_path)
-        reg.save("plain", qm, arch_model="GoogleNet")
-        assert reg.entry("plain").autotune == dict(
-            getattr(qm, "autotune", {}) or {}
-        )
+        with np.load(tmp_path / "plain.npz") as archive:
+            assert "autotune" not in json.loads(str(archive["__meta__"]))

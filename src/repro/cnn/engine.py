@@ -284,6 +284,8 @@ class SconnaEngine:
         af, a_lo = self._load_activations(plan, cols, kernel)
         rem = self.pool.get("rem", (b, 2 * l, p), np.int32)
         s_buf = self.pool.get("s", (b, 2 * l, p), np.float64)
+        if apply_error:
+            adc_buf = self.pool.get("adc", (b, 2 * l, p), np.float64)
         if out is None:
             out = np.zeros((b, l, p), dtype=np.float64)
         else:
@@ -305,7 +307,7 @@ class SconnaEngine:
             s *= inv_scale  # exact: s - rem is a multiple of 2**B
             if apply_error:
                 t0 = time.monotonic() if profile is not None else 0.0
-                s = error_model.apply_to_counts(s).astype(np.float64)
+                s = error_model.apply_to_counts(s, out=adc_buf)
                 if profile is not None:
                     profile.append(("engine.adc", t0, time.monotonic(), {}))
             out += s[:, :l, :]

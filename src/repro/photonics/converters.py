@@ -92,13 +92,43 @@ class AdcErrorModel:
     def sigma(self) -> float:
         return self.mape * math.sqrt(math.pi / 2.0)
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """Perturb integer VDP results with the calibrated relative error."""
+    def apply(
+        self, values: np.ndarray, out: "np.ndarray | None" = None
+    ) -> np.ndarray:
+        """Perturb integer VDP results with the calibrated relative error.
+
+        Without ``out`` the result is a fresh int64 array.  With a float64
+        ``out`` of the same shape the perturbed counts are written there
+        and ``out`` is returned, with no full-size temporary unless
+        ``out`` overlaps ``values``.  Both paths give the same bits and
+        leave the generator in the same state:
+        ``Generator.normal(0.0, sigma)`` is ``0.0 + sigma * z`` over the
+        ``standard_normal`` stream, and non-negative integer counts below
+        2**53 survive the int64 round trip unchanged.
+        """
         v = np.asarray(values, dtype=float)
+        if out is None:
+            if self.mape == 0.0:
+                return np.rint(v).astype(np.int64)
+            eps = self._rng.normal(0.0, self.sigma, size=v.shape)
+            return np.rint(v * (1.0 + eps)).astype(np.int64)
+        if out.dtype != np.float64 or out.shape != v.shape:
+            raise ValueError(
+                f"out must be float64 of shape {v.shape}, got "
+                f"{out.dtype} {out.shape}"
+            )
         if self.mape == 0.0:
-            return np.rint(v).astype(np.int64)
-        eps = self._rng.normal(0.0, self.sigma, size=v.shape)
-        return np.rint(v * (1.0 + eps)).astype(np.int64)
+            return np.rint(v, out=out)
+        # standard_normal(out=) takes only C-contiguous arrays, and
+        # drawing into out must not overwrite counts not yet read
+        if out.flags.c_contiguous and not np.may_share_memory(v, out):
+            eps = self._rng.standard_normal(out=out)
+        else:
+            eps = self._rng.standard_normal(size=v.shape)
+        eps *= self.sigma
+        eps += 1.0
+        np.multiply(v, eps, out=out)
+        return np.rint(out, out=out)
 
     def measured_mape(self, n_samples: int = 200_000, magnitude: float = 1e4) -> float:
         """Monte-Carlo estimate of the realised MAPE (for calibration tests)."""

@@ -58,12 +58,18 @@ class SconnaErrorModel:
         self,
         counts: np.ndarray,
         skirt_slots: np.ndarray | None = None,
+        *,
+        out: "np.ndarray | None" = None,
     ) -> np.ndarray:
         """Perturb ideal PCA counts.
 
         ``skirt_slots`` (same shape as ``counts``) gives, per VDP, the
         number of single-operand-'1' slots whose leakage charge lands on
         the PCA; omitted when ``skirt_leakage == 0``.
+
+        Returns int64 counts, or writes float64 counts into ``out`` (same
+        shape) and returns it; see :meth:`AdcErrorModel.apply` for why
+        the two give the same bits.
         """
         vals = np.asarray(counts, dtype=float)
         if self.skirt_leakage > 0.0:
@@ -72,7 +78,7 @@ class SconnaErrorModel:
                     "skirt_slots required when skirt_leakage is enabled"
                 )
             vals = vals + self.skirt_leakage * np.asarray(skirt_slots, dtype=float)
-        return self._adc.apply(vals)
+        return self._adc.apply(vals, out=out)
 
     def ideal(self) -> bool:
         return self.adc_mape == 0.0 and self.skirt_leakage == 0.0
@@ -119,14 +125,19 @@ class PerRequestErrorModels:
         self,
         counts: np.ndarray,
         skirt_slots: np.ndarray | None = None,
+        *,
+        out: "np.ndarray | None" = None,
     ) -> np.ndarray:
+        """Float64 perturbed counts, each request's slice of the batch
+        axis drawn by its own model; written into ``out`` when given."""
         vals = np.asarray(counts, dtype=float)
         if vals.shape[0] != self.n_images:
             raise ValueError(
                 f"batch axis {vals.shape[0]} does not match the "
                 f"{self.n_images} images of the registered requests"
             )
-        out = np.empty_like(vals)
+        if out is None:
+            out = np.empty_like(vals)
         start = 0
         for model, size in zip(self.models, self.sizes):
             sl = slice(start, start + size)
@@ -135,9 +146,10 @@ class PerRequestErrorModels:
                 # branch's integer quantization without perturbing them
                 np.rint(vals[sl], out=out[sl])
             else:
-                out[sl] = model.apply_to_counts(
+                model.apply_to_counts(
                     vals[sl],
                     None if skirt_slots is None else skirt_slots[sl],
+                    out=out[sl],
                 )
             start += size
         return out

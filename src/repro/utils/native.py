@@ -90,17 +90,26 @@ void rem_group_sums_split(const uint8_t *restrict a, long a_stride,
 /* Column-layout variant for conv shapes (small Q, large P): a stays in
    the engine's (bn, q, p) cols layout and the inner loop runs over the
    contiguous P axis, so the compiler vectorises across output pixels
-   instead of across a 20-odd-element contraction row.  Weights with
-   zero low bits (w == 0, or |w| == 2**8 whose products are exact
-   multiples of 256) contribute nothing to the remainder and are skipped
-   outright.  Fills the same (bn, 2l, p) int32 layout as
+   instead of across a 20-odd-element contraction row.  Each output row
+   is swept in tiles of COLS_TILE pixels; per tile the wrapped products
+   accumulate in uint16 over blocks of COLS_BLOCK contraction rows (one
+   product of at most 255 per row and pixel, and 257 * 255 == 65535, so
+   a block cannot overflow) and each block is flushed into the int32
+   output.  uint16 lanes are twice as many per vector as int32 ones.
+   Weights with zero low bits (w == 0, or |w| == 2**8 whose products are
+   exact multiples of 256) contribute nothing to the remainder and are
+   skipped outright.  Fills the same (bn, 2l, p) int32 layout as
    rem_group_sums_split. */
+#define COLS_TILE 256
+#define COLS_BLOCK 257
+
 void rem_group_sums_cols(const uint8_t *restrict a, long a_q_stride,
                          long a_b_stride,
                          const uint8_t *restrict w_mag,
                          const uint8_t *restrict w_sgn, long w_stride,
                          int32_t *restrict out,
                          long bn, long l, long p, long q, uint8_t mask) {
+    uint16_t accp[COLS_TILE], accn[COLS_TILE];
     for (long bi = 0; bi < bn; bi++) {
         const uint8_t *ab = a + (size_t)bi * a_b_stride;
         for (long li = 0; li < l; li++) {
@@ -108,22 +117,38 @@ void rem_group_sums_cols(const uint8_t *restrict a, long a_q_stride,
             const uint8_t *sr = w_sgn + (size_t)li * w_stride;
             int32_t *opos = out + ((size_t)bi * 2 * l + li) * p;
             int32_t *oneg = out + ((size_t)bi * 2 * l + l + li) * p;
-            for (long pi = 0; pi < p; pi++) {
-                opos[pi] = 0;
-                oneg[pi] = 0;
-            }
-            for (long qi = 0; qi < q; qi++) {
-                uint8_t wv = wr[qi];
-                if (wv == 0)
-                    continue;
-                const uint8_t *restrict ar = ab + (size_t)qi * a_q_stride;
-                int32_t *restrict acc = sr[qi] ? opos : oneg;
-                if (mask == 0xFF) {
-                    for (long pi = 0; pi < p; pi++)
-                        acc[pi] += (uint8_t)(ar[pi] * wv);
-                } else {
-                    for (long pi = 0; pi < p; pi++)
-                        acc[pi] += (uint8_t)((uint8_t)(ar[pi] * wv) & mask);
+            for (long p0 = 0; p0 < p; p0 += COLS_TILE) {
+                long pt = p - p0 < COLS_TILE ? p - p0 : COLS_TILE;
+                for (long pi = 0; pi < pt; pi++) {
+                    opos[p0 + pi] = 0;
+                    oneg[p0 + pi] = 0;
+                }
+                for (long q0 = 0; q0 < q; q0 += COLS_BLOCK) {
+                    long q1 = q - q0 < COLS_BLOCK ? q : q0 + COLS_BLOCK;
+                    for (long pi = 0; pi < pt; pi++) {
+                        accp[pi] = 0;
+                        accn[pi] = 0;
+                    }
+                    for (long qi = q0; qi < q1; qi++) {
+                        uint8_t wv = wr[qi];
+                        if (wv == 0)
+                            continue;
+                        const uint8_t *restrict ar =
+                            ab + (size_t)qi * a_q_stride + p0;
+                        uint16_t *restrict acc = sr[qi] ? accp : accn;
+                        if (mask == 0xFF) {
+                            for (long pi = 0; pi < pt; pi++)
+                                acc[pi] += (uint8_t)(ar[pi] * wv);
+                        } else {
+                            for (long pi = 0; pi < pt; pi++)
+                                acc[pi] += (uint8_t)((uint8_t)(ar[pi] * wv)
+                                                     & mask);
+                        }
+                    }
+                    for (long pi = 0; pi < pt; pi++) {
+                        opos[p0 + pi] += accp[pi];
+                        oneg[p0 + pi] += accn[pi];
+                    }
                 }
             }
         }

@@ -372,6 +372,34 @@ class TestNativeKernel:
                 )
                 assert np.array_equal(out, fallback)
 
+    @pytest.mark.parametrize("q", [256, 257, 258, 514, 515])
+    @pytest.mark.parametrize("b", [8, 4])
+    def test_cols_block_and_tile_edges(self, q, b):
+        """``cols`` keeps uint16 partial sums over blocks of 257
+        contraction rows and 256-pixel tiles: one psum group of Q rows
+        on either side of one and two block edges, P on either side of
+        one and two tile edges, equals the reference.  Image 0 saturates
+        every product's low bits (a = 2**B - 1, |w| = 1), so all-positive
+        and all-negative rows reach the largest sums a block can hold."""
+        if not native.native_available():
+            pytest.skip("no native kernel in this environment")
+        eng = SconnaEngine(use_native=True)
+        top = (1 << b) - 1
+        rng = np.random.default_rng(q + b)
+        w = rng.integers(-(1 << b), (1 << b) + 1, size=(5, q))
+        w[0], w[1] = 1, -1
+        w[2, ::2] = 0  # zero low bits are skipped
+        plan = compile_layer_plan(w, b, q)
+        for p in (8, 255, 256, 257, 600):
+            cols = rng.integers(0, (1 << b) + 1, size=(2, q, p))
+            cols[0] = top
+            ref = sconna_matmul_reference(cols, w, b, q)
+            prof = []
+            assert np.array_equal(ref, eng.matmul(plan, cols, profile=prof))
+            assert {tags["kernel"] for name, _, _, tags in prof
+                    if name == "engine.remainder"} == {"cols"}
+            assert np.array_equal(ref, eng.matmul_ideal(plan, cols))
+
     def test_env_kill_switch(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE", "0")
         assert native.get_kernel() is None

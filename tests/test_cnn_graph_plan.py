@@ -140,6 +140,42 @@ class TestBufferLifetimes:
         assert prog.n_slots < prog.n_buffers
         assert prog.arena_bytes > 0
 
+    @pytest.mark.parametrize("composite", [False, True])
+    def test_steady_state_noisy_forward_allocates_nothing(self, models,
+                                                          composite):
+        """After two warm-up calls a seeded fused batch-32 forward of
+        rnet_proxy (conv stages with P = 144 and more) draws its ADC
+        noise into pooled buffers: the ``tracemalloc`` peak stays under
+        1 MiB, for one ``SconnaErrorModel`` and for 32 per-request
+        models alike.  The NumPy remainder fallback allocates its
+        chunked products by design, so this needs the native kernel."""
+        import tracemalloc
+
+        from repro.stochastic.error_models import PerRequestErrorModels
+        from repro.utils import native
+
+        if not native.native_available():
+            pytest.skip("no native kernel in this environment")
+
+        def error_model(seed):
+            if composite:
+                return PerRequestErrorModels(
+                    [SconnaErrorModel(seed=seed + i) for i in range(32)])
+            return SconnaErrorModel(seed=seed)
+
+        qm, x = models["rnet_proxy"], _batch(32, seed=9)
+        for seed in (1, 2):
+            qm.forward(x, mode="sconna", error_model=error_model(seed),
+                       fused=True)
+        em = error_model(3)
+        tracemalloc.start()
+        try:
+            qm.forward(x, mode="sconna", error_model=em, fused=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"peak {peak / 2**20:.2f} MiB"
+
     def test_programs_cached_per_shape(self, models):
         qm = models["mnet_proxy"]
         p1 = qm.network_plan.program_for("int8", (2, *IMAGE_SHAPE))

@@ -75,7 +75,7 @@ def main(smoke: bool = False, json_out: "Path | None" = None) -> None:
         if note:
             entry["note"] = note
         results.append(entry)
-        line = f"{op:36s} {seconds * 1e3:9.2f} ms"
+        line = f"{op:40s} {seconds * 1e3:9.2f} ms"
         if reference_s is not None:
             line += f"   ({reference_s / seconds:5.1f}x vs reference)"
         print(line)
@@ -156,12 +156,12 @@ def main(smoke: bool = False, json_out: "Path | None" = None) -> None:
     t = best_time(lambda: vdpe.compute_vdp(i_vec, w_vec, apply_adc_error=False))
     record("vdpe_compute_vdp_4608", t, 4608, "MAC/s")
 
-    # -- whole-network end to end: fused plan vs per-layer reference -----
-    # The acceptance-criteria record: one proxy CNN, batch 8, int8 and
-    # sconna (ideal ADC, so both paths are deterministic and the delta
-    # is pure execution cost).  The fused NetworkPlan must be
-    # bit-identical to the per-layer path - asserted here before timing
-    # - and >=2x on the sconna record.
+    # -- whole-network end to end: fused plan vs the oracle ------------
+    # One proxy CNN, batch 8, int8 and sconna (ideal ADC, so both paths
+    # are deterministic and the delta is pure execution cost).  The
+    # fused NetworkPlan must be bit-identical to the oracle
+    # (``fused=False``: the seed reference layer by layer) - asserted
+    # here before timing.
     from repro.cnn.datasets import IMAGE_SHAPE
     from repro.cnn.inference import QuantizedModel
     from repro.cnn.train import build_proxy
@@ -178,7 +178,7 @@ def main(smoke: bool = False, json_out: "Path | None" = None) -> None:
         assert np.array_equal(
             qm.forward(x, mode=mode, error_model=em(), fused=False),
             qm.forward(x, mode=mode, error_model=em(), fused=True),
-        ), "fused plan diverged from per-layer reference"
+        ), "fused plan diverged from the oracle"
         t_ref = best_time(
             lambda: qm.forward(x, mode=mode, error_model=em(), fused=False),
             repeats=e2e_reps, warmup=3,
@@ -187,8 +187,8 @@ def main(smoke: bool = False, json_out: "Path | None" = None) -> None:
             lambda: qm.forward(x, mode=mode, error_model=em(), fused=True),
             repeats=e2e_reps, warmup=3,
         )
-        record(f"mnet_proxy_e2e_batch8_{mode}_per_layer", t_ref,
-               x.shape[0], "img/s")
+        record(f"mnet_proxy_e2e_batch8_{mode}_reference", t_ref,
+               x.shape[0], "img/s", note="fused=False oracle")
         record(
             f"mnet_proxy_e2e_batch8_{mode}_fused", t_fus, x.shape[0], "img/s",
             reference_s=t_ref,

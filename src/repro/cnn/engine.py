@@ -31,20 +31,19 @@ from being a matmul - splits into
 
 A :class:`SconnaLayerPlan` caches everything derivable from the weights
 (sign-split magnitudes, low bits, psum-group slices, dtype choices) so a
-layer pays the preparation cost once at quantization time, not per
-forward pass.  :class:`SconnaEngine` adds reusable activation/workspace
-buffers on top.
+layer pays the preparation cost once per
+:class:`~repro.cnn.graph_plan.NetworkPlan`, not per forward pass.
+:class:`SconnaEngine` adds reusable activation/workspace buffers on top.
 
-**RNG-stream caveat.**  The engine draws the per-psum-group ADC noise in
-one vectorized ``(B, 2L, P)`` batch instead of the reference's two
-``(B, L, P)`` draws (positive then negative), so with an active error
-model the noisy logits are *statistically* - not bitwise - equivalent to
-the reference implementation.  With ``error_model=None`` (or an ideal
-model) the two paths are exactly equal, which the property tests lock.
+**Noise order.**  Both the engine and the reference hand each psum
+group's counts to the error model as one stacked ``(B, 2L, P)`` array,
+positive rows first, so a seeded error model draws the same noise in
+the same order and the noisy outputs are bit-identical too.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -73,8 +72,8 @@ def vector_path_supported(precision_bits: int, group: int) -> bool:
     Three requirements: the low-bits layout fits uint16 (B <= 16), the
     BLAS term's per-group integer sums stay below float64's 2**53 exact
     range, and the remainder sums fit int32.  Every paper configuration
-    qualifies by orders of magnitude; callers fall back to
-    :func:`sconna_matmul_reference` otherwise.
+    qualifies by orders of magnitude; a model outside the envelope runs
+    :func:`sconna_matmul_reference` instead.
     """
     mask = (1 << precision_bits) - 1
     return (
@@ -175,39 +174,32 @@ def compile_layer_plan(
 
 
 class _BufferPool:
-    """Reusable scratch arrays keyed by (tag, shape, dtype), LRU-bounded.
+    """One grow-only byte buffer per tag; :meth:`get` returns a prefix view.
 
-    Forward passes over fixed-shape batches re-run the same layer
-    geometry thousands of times during a Table V / Fig. 9 sweep; keeping
-    one buffer per (tag, shape) avoids a fresh large allocation (and the
-    page-zeroing behind it) on every call.  Shapes cycle layer-by-layer
-    within a forward pass, so each tag keeps the most recent
-    ``max_per_tag`` shapes and evicts older ones - a ragged final batch
-    or a batch-size sweep cannot grow the pool without bound.
+    Forward passes re-run the same layer geometry thousands of times
+    during a Table V / Fig. 9 sweep; reusing a buffer avoids a fresh
+    large allocation (and the page-zeroing behind it) on every call.
+    Each tag is asked for at most once per engine or plan call, so views
+    of one tag are never live together, and a tag's buffer only ever
+    grows to the largest request: scratch memory follows the largest
+    batch, not the number of distinct batch sizes.
     """
 
-    def __init__(self, max_per_tag: int = 16) -> None:
-        from collections import OrderedDict
+    def __init__(self) -> None:
+        self._bufs: "dict[str, np.ndarray]" = {}
 
-        self.max_per_tag = max_per_tag
-        self._bufs: "dict[str, OrderedDict]" = {}
-        self._odict = OrderedDict
-
-    def get(self, tag: str, shape: tuple, dtype) -> np.ndarray:
-        per_tag = self._bufs.setdefault(tag, self._odict())
-        key = (shape, np.dtype(dtype))
-        buf = per_tag.get(key)
-        if buf is None:
-            buf = np.empty(shape, dtype=dtype)
-            per_tag[key] = buf
-            while len(per_tag) > self.max_per_tag:
-                per_tag.popitem(last=False)
-        else:
-            per_tag.move_to_end(key)
+    def buffer(self, tag: str, nbytes: int) -> np.ndarray:
+        """The tag's backing uint8 buffer, grown to at least ``nbytes``."""
+        buf = self._bufs.get(tag)
+        if buf is None or buf.nbytes < nbytes:
+            buf = self._bufs[tag] = np.empty(nbytes, dtype=np.uint8)
         return buf
 
-    def clear(self) -> None:
-        self._bufs.clear()
+    def get(self, tag: str, shape: tuple, dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        nbytes = dtype.itemsize * math.prod(shape)
+        buf = self.buffer(tag, nbytes)
+        return buf[:nbytes].view(dtype).reshape(shape)
 
 
 class SconnaEngine:
@@ -220,7 +212,7 @@ class SconnaEngine:
     :class:`_BufferPool`, so concurrent calls into one engine - the
     serving worker pool's steady state - never share workspaces.  A
     worker's first batch pays the allocation cost once; every later
-    batch of the same geometry reuses the warm buffers.
+    batch no larger than the largest seen reuses the warm buffers.
     """
 
     def __init__(self, use_native: bool = True) -> None:
@@ -489,14 +481,21 @@ def sconna_matmul_reference(
     group: int,
     error_model: SconnaErrorModel | None = None,
 ) -> np.ndarray:
-    """The seed per-output-channel implementation (golden reference).
+    """The seed per-output-channel implementation: the test oracle.
 
-    Kept verbatim for the bit-exactness property tests and as the
-    fallback for configurations outside the vectorized engine's exactness
-    envelope.  ``cols``: (B, Q, P) unsigned activations; ``w_flat``:
-    (L, Q) signed weights.  Returns float (B, L, P) signed counts.
+    ``QuantizedModel.forward(..., fused=False)`` and models outside the
+    vectorized engine's exactness envelope run it.  ``cols``: (B, Q, P)
+    unsigned activations; ``w_flat``: (L, Q) signed weights.  Returns
+    float (B, L, P) signed counts.  Each psum group's counts meet the
+    error model as one stacked (B, 2L, P) array, positive rows first -
+    the engine's order - so a seeded result equals
+    :meth:`SconnaEngine.matmul` bit for bit.
     """
     b, q, p = cols.shape
+    if w_flat.ndim != 2 or w_flat.shape[1] != q:
+        raise ValueError(
+            f"weights {w_flat.shape} do not match cols Q={q}"
+        )
     l = w_flat.shape[0]
     shift = precision_bits
     w_mag = np.abs(w_flat)
@@ -513,7 +512,7 @@ def sconna_matmul_reference(
             pos[:, li, :] = (prods * mask).sum(axis=1)
             neg[:, li, :] = (prods * ~mask).sum(axis=1)
         if error_model is not None and not error_model.ideal():
-            pos = error_model.apply_to_counts(pos)
-            neg = error_model.apply_to_counts(neg)
+            noisy = error_model.apply_to_counts(np.concatenate([pos, neg], axis=1))
+            pos, neg = noisy[:, :l], noisy[:, l:]
         out += pos.astype(np.float64) - neg.astype(np.float64)
     return out

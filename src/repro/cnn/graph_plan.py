@@ -1,12 +1,14 @@
 """Whole-network fused execution plans (graph-level compiler).
 
-The per-layer engine runs each quantized layer as an island: float64
-activations flow between layers and every layer re-quantizes from
-float.  This module compiles the whole layer sequence into a
-:class:`NetworkPlan` - fused quantize -> im2col -> count-matmul ->
-remainder -> requantize chains with a single buffer-lifetime plan - and
-executes it with inter-layer activations held in preallocated *integer*
-workspaces.
+The layer-by-layer oracle in :meth:`QuantizedModel.forward
+<repro.cnn.inference.QuantizedModel.forward>` runs each quantized layer
+as an island: float64 activations flow between layers and every layer
+re-quantizes from float.  This module compiles the whole layer sequence
+into a :class:`NetworkPlan` - fused quantize -> im2col -> count-matmul
+-> remainder -> requantize chains with a single buffer-lifetime plan -
+and executes it with inter-layer activations held in preallocated
+*integer* workspaces.  It is the one execution path for ``int8`` and
+``sconna``.
 
 **Fusion rules (and why they are bit-exact).**  Activation quantization
 is ``clip(rint(max(x, 0) / s), 0, levels)`` with a positive scale: a
@@ -15,15 +17,15 @@ max-pooling (``f(max(a, b)) == max(f(a), f(b))``) and absorb ReLU (the
 lower clip already sends every negative input to 0).  So the fused path
 requantizes *immediately* at each layer's output into an integer grid
 and runs the inter-layer ReLU/MaxPool2d/Flatten ops in the integer
-domain - bit-identical to the reference per-layer path, which pools in
-float and re-quantizes at the next layer's input.  The dequantize ->
-bias -> requantize chain between two matmuls replays the reference's
+domain - bit-identical to the oracle, which pools in float and
+re-quantizes at the next layer's input.  The dequantize ->
+bias -> requantize chain between two matmuls replays the oracle's
 exact float64 op sequence (same values; in-place ops on a pooled
 scratch), and the count matmuls themselves are exact-integer sums in
 float64, so whichever remainder kernel the engine picks for a stage's
 operand shape produces the same bits.  ``tests/test_cnn_graph_plan.py``
-locks fused == per-layer for every zoo model in int8 and sconna (ideal
-and seeded) modes.
+locks fused == oracle for every zoo model in int8 and sconna (ideal,
+seeded and per-request) modes.
 
 **Buffer-lifetime plan.**  At shape-program build time the compiler
 walks the step sequence (entry quantize, integer pools, im2col, count
@@ -31,14 +33,15 @@ matmul, requantize emit), assigns every intermediate a byte-arena slot
 with linear-scan liveness (a slot is recycled as soon as its last
 reader finishes), and records the per-slot capacities.  At run time the
 slots are thread-local pooled buffers (:class:`~repro.cnn.engine._BufferPool`
-tags ``gp<slot>``), so a steady-state forward pass performs **no
-tensor-sized allocations**: integer grids, column buffers, and count
-buffers all live in the arena; the engine's own float64 workspaces
+tags ``gp<slot>``, each grown to the largest capacity any program asks
+for), so a steady-state forward pass performs **no tensor-sized
+allocations**: integer grids, column buffers, and count buffers all
+live in the arena; the engine's own float64 workspaces
 (``af``/``a_lo``/``rem``/``s``) are pooled by the engine itself.
 
-The per-layer path in :class:`~repro.cnn.inference.QuantizedModel`
-remains untouched as the bit-exactness reference; ``forward(...,
-fused=False)`` forces it.
+A structure, mode or shape the plan cannot compile makes
+:meth:`NetworkPlan.try_execute` return None, and ``forward`` runs the
+oracle for the whole network.
 """
 
 from __future__ import annotations
@@ -49,21 +52,33 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.cnn.engine import (
+    SconnaLayerPlan,
+    compile_layer_plan,
+    psum_group_size,
+    vector_path_supported,
+)
 from repro.cnn.functional import conv_output_hw, im2col, max_pool2d
 from repro.cnn.micro import Flatten, MaxPool2d, ReLU
 
 
 class _Unsupported(Exception):
-    """This structure/shape/config cannot run fused; use the reference."""
+    """This structure/shape/config cannot run fused; use the oracle."""
 
 
 @dataclass
 class _Stage:
-    """One quantized layer plus the monotone integer ops feeding it."""
+    """One quantized layer plus the monotone integer ops feeding it.
+
+    The weight-side constants are compiled by the first shape program
+    that needs them and shared by every later one.
+    """
 
     index: int                       #: position in model.structure
     layer: "object"                  #: the QuantLayer
     pre_ops: "list[tuple]" = field(default_factory=list)
+    plan: "SconnaLayerPlan | None" = None  #: engine constants (sconna)
+    w_f: "np.ndarray | None" = None  #: (L, Q) float64 weights (int8)
 
 
 @dataclass
@@ -133,8 +148,8 @@ class _StageExec:
 
     kind: str                        #: "conv" or "linear"
     layer: "object"
-    plan: "object | None"            #: engine plan (sconna; None for int8)
-    w_f: "np.ndarray | None"         #: (L, Q) float64 weights (int8 path)
+    plan: "SconnaLayerPlan | None"   #: engine plan (read by sconna)
+    w_f: "np.ndarray | None"         #: (L, Q) float64 weights (read by int8)
     in_ref: _BufRef                  #: integer grid feeding this stage
     in_spatial: "tuple[int, ...]"    #: grid viewed as (b, c, h, w) / (b, q)
     cols_ref: "_BufRef | None"       #: gather target (None: grid reused)
@@ -166,7 +181,6 @@ class _ShapeProgram:
         self.stages: "list[_StageExec]" = []
         self.final_shape: "tuple[int, ...]" = ()
         self._refs: "list[_BufRef]" = []
-        self._tls = threading.local()
         self._compile()
 
     # -- compilation -----------------------------------------------------
@@ -255,20 +269,20 @@ class _ShapeProgram:
                     raise _Unsupported("linear width mismatch")
                 out_geom = (l,)
 
-            plan = w_f = None
             if mode == "sconna":
-                plan = model._plan_for(layer)
-                if plan is None:
+                group = psum_group_size(model.config)
+                if not vector_path_supported(bits, group):
                     raise _Unsupported("outside the vectorized envelope")
+                if stage.plan is None:
+                    stage.plan = compile_layer_plan(
+                        layer.weight_q.reshape(l, -1), bits, group
+                    )
             else:
                 # the float64 BLAS contraction is exact only below 2**53
                 if q_len * (1 << (2 * bits)) >= 2**53:
                     raise _Unsupported("int8 contraction exceeds 2**53")
-                w_f = (
-                    layer.plan.w_float
-                    if layer.plan is not None
-                    else layer.weight_q.reshape(l, -1).astype(np.float64)
-                )
+                if stage.w_f is None:
+                    stage.w_f = layer.weight_q.reshape(l, -1).astype(np.float64)
 
             in_ref = cur
             in_spatial = cur.shape if layer.kind == "conv" else (b, *geom)
@@ -315,8 +329,8 @@ class _ShapeProgram:
                 _StageExec(
                     kind=layer.kind,
                     layer=layer,
-                    plan=plan,
-                    w_f=w_f,
+                    plan=stage.plan,
+                    w_f=stage.w_f,
                     in_ref=in_ref,
                     in_spatial=in_spatial,
                     cols_ref=cols_ref,
@@ -337,42 +351,36 @@ class _ShapeProgram:
             )
 
     # -- execution -------------------------------------------------------
-    def _view(self, ref: _BufRef) -> np.ndarray:
-        base = self.model._engine.pool.get(
-            f"gp{ref.slot}", (self.planner.caps[ref.slot],), np.uint8
-        )
-        return base[: ref.nbytes].view(ref.dtype).reshape(ref.shape)
-
     def _resolved(self) -> "tuple[list, list]":
-        """This thread's arena views, resolved once and cached.
+        """This thread's arena views, cached for the last program run.
 
-        Deriving ~20 views per forward (pool lookup, byte-slice, dtype
-        view, reshape) is measurable interpreter overhead, so the
-        resolved arrays are cached per thread and revalidated each run
-        by identity against the pool's slot buffers (the pool LRU-evicts
-        per tag, so a slot's backing buffer can change under us).
-        Returns ``(views, grids)`` indexed by ``_BufRef.idx``: the full
-        buffer view and, for pre-padded grids, the interior writer view
-        (identical otherwise).
+        Deriving ~20 views per forward (byte-slice, dtype view, reshape)
+        is measurable interpreter overhead, so each thread keeps the
+        views of the last program it ran, revalidated by identity
+        against the pool's slot buffers (another program may have grown
+        a slot since).  Only one program's views are kept per thread, so
+        the cache never holds a buffer the pool has replaced for longer
+        than one forward.  Returns ``(views, grids)`` indexed by
+        ``_BufRef.idx``: the full buffer view and, for pre-padded grids,
+        the interior writer view (identical otherwise).
         """
         pool = self.model._engine.pool
-        caps = self.planner.caps
         bases = [
-            pool.get(f"gp{i}", (caps[i],), np.uint8)
-            for i in range(len(caps))
+            pool.buffer(f"gp{i}", cap) for i, cap in enumerate(self.planner.caps)
         ]
-        tls = self._tls
-        if getattr(tls, "bases", None) is not None and all(
-            a is b for a, b in zip(bases, tls.bases)
+        tls = self.net._tls
+        last = getattr(tls, "last", None)
+        if last is not None and last[0] is self and all(
+            a is b for a, b in zip(bases, last[1])
         ):
-            return tls.views, tls.grids
+            return last[2], last[3]
         views, grids = [], []
         for r in self._refs:
             v = bases[r.slot][: r.nbytes].view(r.dtype).reshape(r.shape)
             views.append(v)
             pd = r.pad
             grids.append(v[:, :, pd:-pd, pd:-pd] if pd else v)
-        tls.bases, tls.views, tls.grids = bases, views, grids
+        tls.last = (self, bases, views, grids)
         return views, grids
 
     def _lut_for(self, dtype: np.dtype) -> "np.ndarray | None":
@@ -381,7 +389,7 @@ class _ShapeProgram:
         Indexed by the input's raw bit pattern (via a zero-copy view to
         the matching unsigned type), so an int8/uint8/int16/uint16 batch
         quantizes with one gather and never materialises float64.  The
-        table itself applies the reference's exact float op sequence per
+        table itself applies the oracle's exact float op sequence per
         distinct value.
         """
         dtype = np.dtype(dtype)
@@ -424,7 +432,7 @@ class _ShapeProgram:
         def wgrid(ref):
             # writer view: pre-padded grids re-zero their halo (the
             # slot is pooled and may hold another program's bytes); the
-            # memset replaces the reference's per-forward ``np.pad``
+            # memset replaces the oracle's per-forward ``np.pad``
             if ref.pad:
                 views[ref.idx].fill(0)
             return grids[ref.idx]
@@ -498,7 +506,7 @@ class _ShapeProgram:
                     profile.append(("matmul", t0, clock(), {"stage": si}))
 
             # dequantize -> bias -> (requantize | finalize), in place:
-            # the same float64 op sequence as the per-layer reference
+            # the same float64 op sequence as the oracle
             t0 = clock() if profile is not None else 0.0
             t = counts
             t *= stage.scale_eff
@@ -576,9 +584,8 @@ class NetworkPlan:
     inter-layer ops the fused path supports), then builds and caches a
     :class:`_ShapeProgram` per (mode, input shape).  Unsupported
     structures, modes, or shapes simply return ``None`` from
-    :meth:`try_execute`, and the caller falls back to the per-layer
-    reference path - fused execution is an optimization, never a
-    behaviour change.
+    :meth:`try_execute`, and the caller runs the oracle - fused
+    execution never changes a number.
     """
 
     def __init__(self, model: "object") -> None:
@@ -588,6 +595,9 @@ class NetworkPlan:
         self.ok = self._parse()
         self._programs: "dict[tuple, _ShapeProgram | None]" = {}
         self._lock = threading.Lock()
+        #: per-thread view cache of the last program run (see
+        #: :meth:`_ShapeProgram._resolved`)
+        self._tls = threading.local()
 
     def _parse(self) -> bool:
         from repro.cnn.inference import QuantLayer  # deferred: cycle
@@ -649,8 +659,7 @@ class NetworkPlan:
         trace: "list | None" = None,
         profile: "list | None" = None,
     ) -> "np.ndarray | None":
-        """Run fused, or return None so the caller takes the reference
-        path."""
+        """Run fused, or return None so the caller runs the oracle."""
         x = np.asarray(images)
         if x.ndim < 2:
             return None

@@ -20,18 +20,11 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cnn.engine import (
-    SconnaEngine,
-    SconnaLayerPlan,
-    compile_layer_plan,
-    psum_group_size,
-    sconna_matmul_reference,
-    vector_path_supported,
-)
+from repro.cnn.engine import SconnaEngine, psum_group_size, sconna_matmul_reference
 from repro.cnn.functional import conv2d, conv_output_hw, im2col, linear, max_pool2d
 from repro.cnn.micro import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
 from repro.cnn.quantize import (
@@ -58,7 +51,6 @@ class QuantLayer:
     stride: int = 1
     padding: int = 0
     bias: np.ndarray | None = None
-    plan: SconnaLayerPlan | None = None  #: compiled engine constants
 
 
 class QuantizedModel:
@@ -76,13 +68,10 @@ class QuantizedModel:
         self._engine = SconnaEngine()
         self._plan_lock = threading.Lock()
         self._network_plan: "object | None" = None
-        for item in structure:
-            if isinstance(item, QuantLayer):
-                self._plan_for(item)
 
     # A model must survive a trip into a fresh worker process (the
-    # multi-process serving backend, multiprocessing sweeps): the plan
-    # arrays and weights pickle as data, while the lock - process-local
+    # multi-process serving backend, multiprocessing sweeps): the
+    # weights pickle as data, while the lock - process-local
     # by nature - is recreated on the other side.  The engine's own
     # __getstate__ drops its thread-local buffers, so the copy warms up
     # from scratch exactly like a newly loaded model.
@@ -171,7 +160,7 @@ class QuantizedModel:
 
     @classmethod
     def load(cls, path: "str | object") -> "QuantizedModel":
-        """Rebuild a saved model; layer plans are recompiled eagerly."""
+        """Rebuild a saved model; its network plan compiles on first use."""
         from repro.cnn.serialization import load_quantized_model
 
         return load_quantized_model(path)
@@ -183,39 +172,35 @@ class QuantizedModel:
         mode: Mode = "int8",
         error_model: SconnaErrorModel | None = None,
         *,
-        fused: "bool | None" = None,
+        fused: bool = True,
         trace: "list | None" = None,
         profile: "list | None" = None,
     ) -> np.ndarray:
         """Run a batch through the selected datapath; returns logits.
 
-        ``fused`` selects the execution strategy: ``None`` (default)
-        uses the whole-network fused plan when this model/mode/shape
-        supports it and falls back to the per-layer reference path
-        otherwise; ``False`` forces the reference path; ``True`` demands
-        the fused path and raises if it cannot run.  Both paths return
-        bit-identical logits.  ``trace``, when a list, collects the
-        fused path's dtype checkpoints at the inter-layer seams.
-        ``profile``, when a list, collects ``(name, start_s, end_s,
-        tags)`` per-stage timing tuples (quantize / im2col / matmul /
-        requantize on the fused path, coarse per-layer timings on the
-        reference path) without perturbing the arithmetic.
+        ``int8`` and ``sconna`` run the whole-network fused plan
+        (:class:`repro.cnn.graph_plan.NetworkPlan`).  ``fused=False``,
+        or a model/shape the plan cannot compile, runs the layer-by-layer
+        oracle instead: ``quantize`` -> ``im2col`` -> the exact int64
+        contraction (``int8``) or :func:`sconna_matmul_reference`
+        (``sconna``).  Both return bit-identical logits, seeded noise
+        included.  ``trace``, when a list, collects the fused path's
+        dtype checkpoints at the inter-layer seams.  ``profile``, when a
+        list, collects ``(name, start_s, end_s, tags)`` per-stage timing
+        tuples (quantize / im2col / matmul / requantize on the fused
+        path, per-layer timings on the oracle path) without perturbing
+        the arithmetic.
         """
         if mode not in ("float", "int8", "sconna"):
             raise ValueError(f"unknown mode {mode!r}")
         if mode == "sconna" and error_model is None:
             error_model = SconnaErrorModel(seed=0)
-        if fused is not False and mode in ("int8", "sconna"):
+        if fused and mode != "float":
             out = self.network_plan.try_execute(
                 images, mode, error_model, trace=trace, profile=profile
             )
             if out is not None:
                 return out
-            if fused is True:
-                raise ValueError(
-                    "fused execution is unsupported for this "
-                    "model/mode/input-shape combination"
-                )
         x = images.astype(np.float64)
         # the trainable layers' forwards cache backward-pass state on
         # shared instances; inference dispatches to the stateless
@@ -246,11 +231,11 @@ class QuantizedModel:
         mode: Mode,
         error_model: SconnaErrorModel | None,
     ) -> np.ndarray:
+        fl = layer.float_layer
         if mode == "float":
             # stateless equivalents of the trainable forwards (bit-equal:
             # same im2col/matmul/bias order), again so a shared model
             # serves concurrent float-mode requests safely
-            fl = layer.float_layer
             if layer.kind == "conv":
                 return conv2d(
                     x, fl.weight, stride=layer.stride,
@@ -258,140 +243,35 @@ class QuantizedModel:
                 )
             return linear(x, fl.weight, fl.bias)
 
-        scale = layer.act_params.scale * layer.weight_params.scale
-        pool = self._engine.pool
-
+        a_q = quantize(np.maximum(x, 0.0), layer.act_params)
+        l = layer.weight_q.shape[0]
+        w_flat = layer.weight_q.reshape(l, -1)
         if layer.kind == "conv":
-            l, c, k, _ = layer.weight_q.shape
-            b = x.shape[0]
+            k = layer.weight_q.shape[2]
+            cols = im2col(a_q, k, layer.stride, layer.padding)
+        else:  # linear: activations as (B, Q, 1) columns
+            cols = a_q[:, :, None]
+        scale = layer.act_params.scale * layer.weight_params.scale
+        if mode == "int8":
+            out = np.einsum("lq,bqp->blp", w_flat, cols) * scale
+        else:
+            counts = sconna_matmul_reference(
+                cols, w_flat, self.precision_bits,
+                psum_group_size(self.config), error_model,
+            )
+            out = counts * (scale * (1 << self.precision_bits))
+        if layer.kind == "conv":
             out_h, out_w = conv_output_hw(
                 x.shape[2], x.shape[3], k, layer.stride, layer.padding
             )
-            q_len, p = c * k * k, out_h * out_w
-            if mode == "int8":
-                # the BLAS path is exact only while the full-Q integer
-                # contraction stays below float64's 2**53 exact range
-                # (independent of the sconna engine's group envelope)
-                if q_len * (1 << (2 * self.precision_bits)) < 2**53:
-                    # fused quantization: the integer activation grid is
-                    # built in-place in a float64 workspace (values are
-                    # exact small integers), skipping quantize()'s int64
-                    # intermediate, and gathered straight into the
-                    # matmul's reusable column buffer
-                    aq_f = pool.get("aq_f", x.shape, np.float64)
-                    np.maximum(x, 0.0, out=aq_f)
-                    aq_f /= layer.act_params.scale
-                    np.rint(aq_f, out=aq_f)
-                    np.clip(aq_f, 0.0, float(layer.act_params.levels), out=aq_f)
-                    cols_f = im2col(
-                        aq_f, k, layer.stride, layer.padding,
-                        out=pool.get("cols_f", (b, q_len, p), np.float64),
-                    )
-                    w_f = (
-                        layer.plan.w_float
-                        if layer.plan is not None
-                        else layer.weight_q.reshape(l, -1).astype(np.float64)
-                    )
-                    mm = np.matmul(
-                        w_f[None], cols_f,
-                        out=pool.get("mm", (b, l, p), np.float64),
-                    )
-                    out = mm * scale
-                else:
-                    # keep the seed's exact integer contraction
-                    a_q = quantize(np.maximum(x, 0.0), layer.act_params)
-                    cols = im2col(a_q, k, layer.stride, layer.padding)
-                    w_flat = layer.weight_q.reshape(l, -1)
-                    out = np.einsum("lq,bqp->blp", w_flat, cols) * scale
-            else:
-                a_q = quantize(np.maximum(x, 0.0), layer.act_params)
-                plan = self._plan_for(layer)
-                cols = im2col(
-                    a_q, k, layer.stride, layer.padding,
-                    out=pool.get("cols", (b, q_len, p), np.int64),
-                )
-                counts = self._sconna_counts(cols, layer, plan, error_model)
-                out = counts * (scale * (1 << self.precision_bits))
-            out = out.reshape(b, l, out_h, out_w)
-            if layer.bias is not None:
-                out = out + layer.bias.reshape(1, l, 1, 1)
-            return out
-
-        # linear: treat activations as (B, Q, 1) columns
-        a_q = quantize(np.maximum(x, 0.0), layer.act_params)
-        if mode == "int8":
-            out = (a_q @ layer.weight_q.T).astype(np.float64) * scale
+            out = out.reshape(x.shape[0], l, out_h, out_w)
+            bias = None if layer.bias is None else layer.bias.reshape(1, l, 1, 1)
         else:
-            cols = a_q[:, :, None]
-            plan = self._plan_for(layer)
-            counts = self._sconna_counts(cols, layer, plan, error_model)
-            out = counts[:, :, 0] * (scale * (1 << self.precision_bits))
-        if layer.bias is not None:
-            out = out + layer.bias
+            out = out[:, :, 0]
+            bias = layer.bias
+        if bias is not None:
+            out = out + bias
         return out
-
-    # -- count-domain kernels ----------------------------------------------
-    def _plan_for(self, layer: QuantLayer) -> SconnaLayerPlan | None:
-        """The layer's compiled engine plan (built on first use).
-
-        Returns None when the configuration falls outside the vectorized
-        engine's exactness envelope; callers then take the reference
-        path.  Compilation is serialized behind a lock so concurrent
-        first requests into a shared model cannot race on ``layer.plan``
-        (plans are normally compiled eagerly at construction, but a
-        config/precision change re-triggers the lazy path).
-        """
-        group = psum_group_size(self.config)
-        if not vector_path_supported(self.precision_bits, group):
-            return None
-
-        def stale(p: SconnaLayerPlan | None) -> bool:
-            return (
-                p is None
-                or p.group != group
-                or p.precision_bits != self.precision_bits
-            )
-
-        plan = layer.plan
-        if stale(plan):
-            with self._plan_lock:
-                plan = layer.plan  # double-checked: another thread may have won
-                if stale(plan):
-                    l = layer.weight_q.shape[0]
-                    plan = compile_layer_plan(
-                        layer.weight_q.reshape(l, -1), self.precision_bits, group
-                    )
-                    layer.plan = plan
-        return plan
-
-    def _sconna_counts(
-        self,
-        cols: np.ndarray,
-        layer: QuantLayer,
-        plan: SconnaLayerPlan | None,
-        error_model: SconnaErrorModel | None,
-    ) -> np.ndarray:
-        l = layer.weight_q.shape[0]
-        if plan is not None:
-            return self._engine.matmul(plan, cols, error_model)
-        return self._sconna_matmul_reference(
-            cols, layer.weight_q.reshape(l, -1), error_model
-        )
-
-    def _sconna_matmul_reference(
-        self,
-        cols: np.ndarray,
-        w_flat: np.ndarray,
-        error_model: SconnaErrorModel | None,
-    ) -> np.ndarray:
-        """The seed per-output-channel implementation (golden reference)."""
-        return sconna_matmul_reference(
-            cols,
-            w_flat,
-            self.precision_bits,
-            psum_group_size(self.config),
-            error_model,
-        )
 
     # -- evaluation ----------------------------------------------------------
     def predict_logits(
@@ -401,7 +281,7 @@ class QuantizedModel:
         error_model: SconnaErrorModel | None = None,
         batch_size: int = 50,
         *,
-        fused: "bool | None" = None,
+        fused: bool = True,
     ) -> np.ndarray:
         """Batched forward pass returning all logits."""
         if batch_size < 1:

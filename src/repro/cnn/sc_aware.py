@@ -20,28 +20,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cnn.datasets import Dataset
+from repro.cnn.engine import SconnaEngine, compile_layer_plan
 from repro.cnn.micro import Conv2d, Linear, Sequential, softmax_cross_entropy
 from repro.cnn.quantize import calibrate_activation, calibrate_weight, quantize
 from repro.utils.rng import make_rng
-
-
-def _sc_matmul_counts(
-    cols: np.ndarray, w_q: np.ndarray, precision_bits: int
-) -> np.ndarray:
-    """Signed count-domain SC products summed over the contraction axis.
-
-    ``cols``: (B, Q, P) unsigned int; ``w_q``: (L, Q) signed int.
-    Returns float (B, L, P).
-    """
-    b, q, p = cols.shape
-    l = w_q.shape[0]
-    out = np.empty((b, l, p), dtype=np.float64)
-    w_mag = np.abs(w_q)
-    w_sign = np.sign(w_q)
-    for li in range(l):
-        prods = (cols * w_mag[li][None, :, None]) >> precision_bits
-        out[:, li, :] = (prods * w_sign[li][None, :, None]).sum(axis=1)
-    return out
 
 
 class ScAwareConv2d(Conv2d):
@@ -67,6 +49,7 @@ class ScAwareConv2d(Conv2d):
         obj.padding = conv.padding
         obj._cache = None
         obj.precision_bits = precision_bits
+        obj._engine = SconnaEngine()
         return obj
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -79,7 +62,9 @@ class ScAwareConv2d(Conv2d):
         w_q = quantize(self.weight, wqp).reshape(l, -1)
 
         cols_q = im2col(x_q, k, self.stride, self.padding)
-        counts = _sc_matmul_counts(cols_q, w_q, self.precision_bits)
+        # ideal datapath, one psum group over the whole contraction
+        plan = compile_layer_plan(w_q, self.precision_bits, w_q.shape[1])
+        counts = self._engine.matmul_ideal(plan, cols_q)
         scale = act.scale * wqp.scale * (1 << self.precision_bits)
 
         # STE cache: float im2col of the real input for the backward pass

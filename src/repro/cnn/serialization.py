@@ -10,9 +10,9 @@ A saved model is a single compressed ``.npz`` archive holding
   ``L{i}_bias``) referenced from the structure records.
 
 Everything derived from the tensors - in particular the compiled
-:class:`~repro.cnn.engine.SconnaLayerPlan` per layer - is rebuilt on
-load by ``QuantizedModel.__init__``, so the archive stays a pure data
-format: no pickled code, stable across engine refactors.  The arrays
+:class:`~repro.cnn.engine.SconnaLayerPlan` per layer - is rebuilt after
+load by the model's :class:`~repro.cnn.graph_plan.NetworkPlan` on first
+use, so the archive stays a pure data format: no pickled code, stable across engine refactors.  The arrays
 are stored exactly (integer grids and float64 weights), which makes the
 round-trip bit-identical: a reloaded model produces the same logits in
 every datapath (for ``sconna`` under an ideal or equal-seeded error
@@ -207,8 +207,8 @@ def save_quantized_model(qmodel, path: "str | Path") -> Path:
 def load_quantized_model(path: "str | Path"):
     """Rebuild a :class:`~repro.cnn.inference.QuantizedModel` from disk.
 
-    Layer plans are recompiled eagerly by the model constructor, so a
-    loaded model is immediately ready to serve.
+    The network plan compiles on the first forward (or a serving
+    worker's warm-up), so loading reads arrays and nothing else.
     """
     path = Path(path)
     return _read_archive(path, str(path))

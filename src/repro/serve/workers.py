@@ -9,10 +9,11 @@ single runtime becomes the bottleneck, the process backend in
 :mod:`repro.serve.backends` shards work across worker *processes*
 instead.  Each worker thread owns warm scratch buffers automatically:
 :class:`repro.cnn.engine.SconnaEngine` keeps its :class:`_BufferPool`
-in thread-local storage, so a worker's first batch allocates the
-im2col / remainder workspaces and every later batch of the same
-geometry reuses them.  :meth:`WorkerPool.warm` lets a service pre-pay
-that first-batch cost at registration time.
+in thread-local storage, so a worker's first batch compiles the fused
+plan and allocates the arena and engine workspaces, and every later
+batch no larger than the largest seen reuses them.
+:meth:`WorkerPool.warm` lets a service pre-pay that first-batch cost at
+registration time.
 """
 
 from __future__ import annotations

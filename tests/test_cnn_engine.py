@@ -27,7 +27,7 @@ from repro.cnn.datasets import N_CLASSES, generate_dataset
 from repro.core.config import SconnaConfig
 from repro.core.vdpe import SconnaVDPE
 from repro.stochastic.arithmetic import sc_vdp, sc_vdp_batch
-from repro.stochastic.error_models import SconnaErrorModel
+from repro.stochastic.error_models import PerRequestErrorModels, SconnaErrorModel
 from repro.stochastic.lut import OsmLookupTable
 from repro.utils import native
 
@@ -110,56 +110,81 @@ class TestBitExactEquivalence:
         with pytest.raises(ValueError):
             compile_layer_plan(np.zeros((2, 4), dtype=np.int64), 17, 4)
 
-    def test_model_routes_through_engine_and_falls_back(self):
-        """_sconna_counts uses the engine in-envelope, reference outside."""
-        from repro.cnn.quantize import QuantParams
+    def test_model_routes_through_engine_and_falls_back(self, monkeypatch):
+        """In the envelope ``forward`` runs the fused plan on the engine;
+        outside it (B = 17) the plan declines and ``forward`` runs the
+        oracle without touching the engine.  Both equal ``fused=False``
+        under seeded noise."""
+        ds = generate_dataset(2, seed=0)
+        x = ds.images[:3]
 
-        rng = np.random.default_rng(11)
-
-        def make_layer(qm, w):
-            dummy = QuantParams(scale=1.0, levels=w.shape[1], signed=True)
-            layer = QuantLayer(
-                kind="linear", weight_q=w, weight_params=dummy,
-                act_params=dummy, float_layer=None,
+        def model(bits):
+            net = Sequential(
+                Conv2d(3, 4, 3, padding=1, rng=np.random.default_rng(1)),
+                ReLU(), MaxPool2d(4), Flatten(),
+                Linear(4 * 6 * 6, N_CLASSES, rng=np.random.default_rng(2)),
             )
-            return layer, qm._plan_for(layer)
+            return QuantizedModel.from_trained(net, ds.images[:8], bits)
 
-        # in-envelope: plan compiled, engine output bit-exact vs reference
-        qm = QuantizedModel([], precision_bits=8)
-        cols = rng.integers(0, 257, size=(2, 300, 5)).astype(np.int64)
-        w = rng.integers(-256, 257, size=(6, 300)).astype(np.int64)
-        layer, plan = make_layer(qm, w)
-        assert plan is not None and layer.plan is plan
-        assert np.array_equal(
-            qm._sconna_counts(cols, layer, plan, None),
-            qm._sconna_matmul_reference(cols, w, None),
-        )
+        def both(qm):
+            return [qm.forward(x, mode="sconna", fused=fused,
+                               error_model=SconnaErrorModel(seed=4))
+                    for fused in (True, False)]
 
-        # outside the envelope (B=18): no plan, reference path used
-        qm18 = QuantizedModel([], precision_bits=18)
-        length = 1 << 18
-        cols18 = rng.integers(0, length + 1, size=(1, 9, 2)).astype(np.int64)
-        w18 = rng.integers(-length, length + 1, size=(2, 9)).astype(np.int64)
-        layer18, plan18 = make_layer(qm18, w18)
-        assert plan18 is None
-        assert np.array_equal(
-            qm18._sconna_counts(cols18, layer18, plan18, None),
-            qm18._sconna_matmul_reference(cols18, w18, None),
-        )
+        qm8 = model(8)
+        assert qm8.network_plan.try_execute(
+            x, "sconna", SconnaErrorModel(seed=4)) is not None
+        fused, oracle = both(qm8)
+        assert np.array_equal(fused, oracle)
+
+        qm17 = model(17)
+        assert qm17.network_plan.try_execute(x, "sconna") is None
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("engine called outside its envelope")
+
+        monkeypatch.setattr(SconnaEngine, "matmul", refuse)
+        monkeypatch.setattr(SconnaEngine, "matmul_ideal", refuse)
+        fused, oracle = both(qm17)
+        assert np.array_equal(fused, oracle)
+
+    def test_reference_rejects_mismatched_weights(self):
+        """The oracle never truncates: any Q mismatch between the columns
+        and the weights raises instead of using a prefix of either."""
+        with pytest.raises(ValueError, match="Q=100"):
+            sconna_matmul_reference(
+                np.zeros((1, 100, 1), dtype=np.int64),
+                np.zeros((4, 300), dtype=np.int64), 8, 16,
+            )
+        with pytest.raises(ValueError, match="Q=300"):
+            sconna_matmul_reference(
+                np.zeros((1, 300, 1), dtype=np.int64),
+                np.zeros((4, 100), dtype=np.int64), 8, 16,
+            )
 
 
 class TestLayerPlans:
-    def test_plans_prebuilt_at_quantization_time(self):
+    def test_stage_plans_compiled_by_network_plan(self):
+        """The first sconna program compiles each stage's engine plan and
+        every later batch size shares it; int8 programs take float
+        weights straight from ``weight_q`` and compile no engine plan."""
         rng_model = Sequential(
             Conv2d(3, 4, 3, padding=1), ReLU(), MaxPool2d(4),
             Flatten(), Linear(4 * 6 * 6, N_CLASSES),
         )
         ds = generate_dataset(2, seed=0)
         qm = QuantizedModel.from_trained(rng_model, ds.images[:8])
-        quant_layers = [s for s in qm.structure if isinstance(s, QuantLayer)]
-        assert quant_layers and all(ql.plan is not None for ql in quant_layers)
+        stages = qm.network_plan.stages
+        qm.forward(ds.images[:2], mode="int8")
+        assert stages and all(
+            st.plan is None and st.w_f is not None for st in stages
+        )
+        qm.forward(ds.images[:2], mode="sconna")
+        plans = [st.plan for st in stages]
         group = psum_group_size(qm.config)
-        assert all(ql.plan.group == group for ql in quant_layers)
+        assert all(p is not None and p.group == group for p in plans)
+        qm.forward(ds.images[:3], mode="sconna")
+        assert all(st.plan is p for st, p in zip(stages, plans))
 
     def test_plan_recompiled_when_config_changes(self):
         rng = np.random.default_rng(0)
@@ -429,24 +454,6 @@ def _operand(seed, q, p, b=8, l=5, batch=2):
     return cols, w
 
 
-def _seeded_oracle(cols, w, b, group, seed):
-    """The engine's noise contract on top of the seed reference: one
-    stacked ``(B, 2L, P)`` draw per psum group, positive rows first."""
-    em = SconnaErrorModel(seed=seed)
-    l, q = w.shape
-    out = np.zeros((cols.shape[0], l, cols.shape[2]))
-    for start in range(0, q, group):
-        sl = slice(start, min(start + group, q))
-        ws = w[:, sl]
-        pos = sconna_matmul_reference(cols[:, sl], np.maximum(ws, 0), b, group)
-        neg = -sconna_matmul_reference(cols[:, sl], np.minimum(ws, 0), b, group)
-        noisy = em.apply_to_counts(np.concatenate([pos, neg], axis=1))
-        noisy = noisy.astype(np.float64)
-        out += noisy[:, :l]
-        out -= noisy[:, l:]
-    return out
-
-
 class TestKernelVariants:
     """Every remainder kernel the engine can pick computes the seed
     reference's exact sums, through every engine entry point."""
@@ -469,8 +476,9 @@ class TestKernelVariants:
 
     @pytest.mark.parametrize("kernel", _KERNEL_IDS)
     def test_matmul_variants_match_reference(self, kernel):
-        """``matmul`` (returned, ``out=`` and seeded noise) equals the
-        reference, and the profile names the kernel that ran."""
+        """``matmul`` (returned, ``out=``, seeded and per-request noise)
+        equals the reference, and the profile names the kernel that
+        ran."""
         eng, p = _engine_for(kernel)
         for b, q, group, (cols, w) in self._cases(p):
             ref = sconna_matmul_reference(cols, w, b, group)
@@ -483,10 +491,16 @@ class TestKernelVariants:
             out = np.empty_like(got)
             eng.matmul(plan, cols, out=out)
             assert np.array_equal(ref, out)
-            assert np.array_equal(
-                _seeded_oracle(cols, w, b, group, seed=5),
-                eng.matmul(plan, cols, SconnaErrorModel(seed=5)),
-            )
+            # seeded noise: the reference draws in the engine's order
+            for em in (
+                lambda: SconnaErrorModel(seed=5),
+                lambda: PerRequestErrorModels(
+                    [SconnaErrorModel(seed=6), None]),
+            ):
+                assert np.array_equal(
+                    sconna_matmul_reference(cols, w, b, group, em()),
+                    eng.matmul(plan, cols, em()),
+                )
 
     @pytest.mark.parametrize("kernel", _KERNEL_IDS)
     def test_matmul_ideal_matches_noisy_path_ideal(self, kernel):

@@ -1,8 +1,9 @@
 """Whole-network fused execution plans (graph_plan.py).
 
 The load-bearing contract: fused execution is bit-identical to the
-per-layer reference path for every zoo proxy, every supported mode and
-every batch size - the fused path may only ever change wall time.  Also
+oracle (``forward(..., fused=False)``: the seed reference layer by
+layer) for every zoo proxy, every supported mode and every batch size -
+the fused path may only ever change wall time.  Also
 locked here: the integer-native seams (an int8/uint8 batch never
 materialises float64 between entry and logits), arena-slot reuse, and
 the engine stages a fused profile reports.
@@ -14,7 +15,9 @@ import pytest
 from repro.cnn.inference import QuantizedModel
 from repro.cnn.train import PROXY_MODELS, build_proxy
 from repro.cnn.datasets import IMAGE_SHAPE
-from repro.stochastic.error_models import SconnaErrorModel
+from repro.cnn.engine import SconnaEngine
+from repro.cnn.graph_plan import NetworkPlan
+from repro.stochastic.error_models import PerRequestErrorModels, SconnaErrorModel
 
 
 @pytest.fixture(scope="module")
@@ -48,8 +51,8 @@ class TestFusedEqualsReference:
 
     @pytest.mark.parametrize("name", sorted(PROXY_MODELS))
     def test_bit_identical_seeded_noise(self, models, name):
-        """The fused noisy path replays the reference's RNG stream:
-        same engine calls, same order, same shapes."""
+        """The fused noisy path replays the oracle's RNG stream: one
+        stacked draw per psum group, same order, same shapes."""
         qm = models[name]
         x = _batch(2, seed=2)
         ref = qm.forward(
@@ -61,6 +64,51 @@ class TestFusedEqualsReference:
             fused=True,
         )
         assert np.array_equal(ref, fus)
+
+    @pytest.mark.parametrize("name", sorted(PROXY_MODELS))
+    def test_bit_identical_per_request_mix(self, models, name):
+        """A served batch's per-request error models (seeded, None,
+        ideal) give the same logits fused and through the oracle."""
+        qm = models[name]
+        x = _batch(5, seed=12)
+
+        def mix():
+            return PerRequestErrorModels(
+                [SconnaErrorModel(seed=21), None,
+                 SconnaErrorModel(adc_mape=0.0), SconnaErrorModel(seed=22)],
+                sizes=[1, 2, 1, 1],
+            )
+
+        ref = qm.forward(x, mode="sconna", error_model=mix(), fused=False)
+        fus = qm.forward(x, mode="sconna", error_model=mix())
+        assert np.array_equal(ref, fus)
+
+    def test_oracle_touches_no_engine(self, models, monkeypatch):
+        """``fused=False`` is the seed reference alone: no network plan
+        and no engine method runs."""
+        qm = models["mnet_proxy"]
+        x = _batch(2, seed=14)
+        want = {
+            mode: qm.forward(x, mode=mode, error_model=em())
+            for mode, em in (("int8", lambda: None),
+                             ("sconna", lambda: SconnaErrorModel(seed=5)))
+        }
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("fused=False reached the engine")
+
+        for name in ("matmul", "matmul_ideal", "_load_activations",
+                     "_remainder", "_remainder_kernel"):
+            monkeypatch.setattr(SconnaEngine, name, refuse)
+        monkeypatch.setattr(SconnaEngine, "pool", property(refuse))
+        monkeypatch.setattr(NetworkPlan, "try_execute", refuse)
+        assert np.array_equal(
+            want["int8"], qm.forward(x, mode="int8", fused=False))
+        assert np.array_equal(
+            want["sconna"],
+            qm.forward(x, mode="sconna", error_model=SconnaErrorModel(seed=5),
+                       fused=False),
+        )
 
     def test_default_error_model_matches(self, models):
         """forward() installs SconnaErrorModel(seed=0) on both paths."""
@@ -96,10 +144,21 @@ class TestFusedEqualsReference:
             fus = qm.forward(x, mode=mode, error_model=em, fused=True)
             assert np.array_equal(ref, fus)
 
-    def test_fused_true_raises_when_unsupported(self, models):
-        qm = models["mnet_proxy"]
-        with pytest.raises(ValueError, match="fused"):
-            qm.forward(np.zeros(8), mode="int8", fused=True)
+    def test_unplannable_model_runs_the_oracle(self, calib):
+        """B = 17 is outside the vectorized envelope: the network plan
+        declines the whole model and the default forward runs the oracle,
+        equal to ``fused=False`` under seeded noise."""
+        qm = QuantizedModel.from_trained(
+            build_proxy("mnet_proxy"), calib, precision_bits=17
+        )
+        x = _batch(2, seed=15)
+        assert qm.network_plan.try_execute(x, "sconna") is None
+        ref, dflt = (
+            qm.forward(x, mode="sconna", error_model=SconnaErrorModel(seed=6),
+                       fused=fused)
+            for fused in (False, True)
+        )
+        assert np.array_equal(ref, dflt)
 
 
 class TestIntegerSeams:
@@ -175,6 +234,30 @@ class TestBufferLifetimes:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, f"peak {peak / 2**20:.2f} MiB"
+
+    def test_scratch_memory_follows_the_largest_batch(self, calib):
+        """Seeded forwards at every batch size 1..32 retain no more than
+        a fixed multiple of what one batch-32 forward retains: each pool
+        tag keeps one buffer grown to its largest request, and each
+        thread caches only its last program's arena views."""
+        import tracemalloc
+
+        qm = QuantizedModel.from_trained(build_proxy("mnet_proxy"), calib)
+        x = _batch(32, seed=16)
+        tracemalloc.start()
+        try:
+            qm.forward(x, mode="sconna", error_model=SconnaErrorModel(seed=1))
+            one, _ = tracemalloc.get_traced_memory()
+            for b in range(1, 33):
+                qm.forward(x[:b], mode="sconna",
+                           error_model=SconnaErrorModel(seed=b))
+            swept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert swept < 1.5 * one, (
+            f"{swept / 2**20:.1f} MiB after the sweep vs "
+            f"{one / 2**20:.1f} MiB after one batch-32 forward"
+        )
 
     def test_programs_cached_per_shape(self, models):
         qm = models["mnet_proxy"]

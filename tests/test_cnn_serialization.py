@@ -68,11 +68,18 @@ class TestRoundTrip:
         assert len(loaded.structure) == len(qm.structure)
 
     def test_plans_recompiled_on_load(self, saved_setup):
-        from repro.cnn.inference import QuantLayer
-
-        _, loaded, _, _ = saved_setup
-        quant_layers = [s for s in loaded.structure if isinstance(s, QuantLayer)]
-        assert quant_layers and all(l.plan is not None for l in quant_layers)
+        """The archive holds no plans: a loaded model's network plan
+        compiles each stage's engine constants from the loaded weights,
+        equal to the original's."""
+        qm, loaded, ds, _ = saved_setup
+        for model in (qm, loaded):
+            model.forward(ds.images[:2], mode="sconna")
+        pairs = list(zip(qm.network_plan.stages, loaded.network_plan.stages))
+        assert pairs
+        for orig, new in pairs:
+            assert new.plan is not None and new.plan is not orig.plan
+            assert np.array_equal(new.plan.w_stacked, orig.plan.w_stacked)
+            assert new.plan.group_slices == orig.plan.group_slices
 
 
 class TestEdgeCases:

@@ -5,12 +5,8 @@ import pytest
 
 from repro.cnn.datasets import generate_dataset
 from repro.cnn.micro import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
-from repro.cnn.sc_aware import (
-    ScAwareConv2d,
-    _sc_matmul_counts,
-    make_sc_aware,
-    sc_aware_finetune,
-)
+from repro.cnn.engine import SconnaEngine, compile_layer_plan
+from repro.cnn.sc_aware import ScAwareConv2d, make_sc_aware, sc_aware_finetune
 from repro.cnn.train import train
 from repro.utils.rng import make_rng
 
@@ -23,12 +19,19 @@ def tiny_model(seed=0):
     )
 
 
+def _sc_counts(cols, w, precision_bits):
+    """The count-domain product sums ``ScAwareConv2d.forward`` runs: the
+    engine's ideal datapath, one psum group over the whole contraction."""
+    plan = compile_layer_plan(w, precision_bits, w.shape[1])
+    return SconnaEngine().matmul_ideal(plan, cols)
+
+
 class TestScMatmul:
     def test_matches_reference(self):
         rng = make_rng(0)
         cols = rng.integers(0, 257, size=(2, 16, 5))
         w = rng.integers(-256, 257, size=(3, 16))
-        out = _sc_matmul_counts(cols, w, 8)
+        out = _sc_counts(cols, w, 8)
         # reference: per-element floor with sign
         ref = np.zeros((2, 3, 5))
         for b in range(2):
@@ -43,7 +46,7 @@ class TestScMatmul:
         rng = make_rng(1)
         cols = rng.integers(0, 257, size=(1, 32, 4))
         w = rng.integers(1, 257, size=(2, 32))  # positive weights
-        out = _sc_matmul_counts(cols, w, 8)
+        out = _sc_counts(cols, w, 8)
         exact = np.einsum("bqp,lq->blp", cols, w) / 256
         assert (out <= exact + 1e-9).all()
         assert (out >= exact - 32).all()  # at most 1 count lost per term

@@ -115,7 +115,7 @@ class TestLegacyKernelChoiceEntry:
         x = ds.images[:3]
         assert np.array_equal(plain.forward(x, mode="int8"),
                               legacy.forward(x, mode="int8"))
-        for fused in (None, False):
+        for fused in (True, False):
             plain_s, legacy_s = (
                 m.forward(x, mode="sconna",
                           error_model=SconnaErrorModel(seed=9), fused=fused)
